@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import ConvolutionResult
-from .dynamics import SinkSpec, TimeGrid, _symmetric_eigh, lindblad_evolve, unitary_evolve
+from .dynamics import SinkSpec, TimeGrid, lindblad_evolve, unitary_evolve, unitary_probabilities
 from .graphs import Graph, GraphValidationError, bfs_distances
 
 JACOBI_TOL = 1e-11
@@ -134,13 +134,6 @@ class GroupPartition:
 DEFAULT_SAMPLE_TIMES = tuple(0.25 * i for i in range(1, 21))
 
 
-def _unitary_probabilities(g: Graph, start: int, times: np.ndarray) -> np.ndarray:
-    vals, vecs = _symmetric_eigh(g.adjacency_matrix())
-    coeff = vecs[start, :]
-    amps = (np.exp(-1j * np.outer(times, vals)) * coeff) @ vecs.T
-    return np.abs(amps) ** 2
-
-
 def equiprobable_groups(
     g: Graph,
     start: int,
@@ -157,9 +150,7 @@ def equiprobable_groups(
     times = np.asarray(list(sample_times), dtype=float)
     if times.size == 0 or np.any(times <= 0):
         raise ValueError("sample_times must be non-empty and strictly positive")
-    if not 0 <= start < g.node_count:
-        raise GraphValidationError(f"start node {start} out of range")
-    probs = _unitary_probabilities(g, start, times)  # (times, nodes)
+    probs = unitary_probabilities(g, start, times)  # (times, nodes)
     dist = bfs_distances(g, start)
 
     groups: list[list[int]] = []

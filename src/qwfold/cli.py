@@ -18,6 +18,7 @@ from .graphs import (
     load_group_map,
     save_graph,
     save_group_map,
+    write_text,
 )
 
 
@@ -68,20 +69,8 @@ def _grid(args, default_tmax=10.0, default_dt=0.05) -> dynamics.TimeGrid:
     return dynamics.TimeGrid(tmax, dt)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def _cmd_graph_build(args) -> int:
-    g = _family_spec(args).build()
-    if args.out:
-        save_graph(g, args.out)
-    else:
-        save_graph(g, sys.stdout)
+    save_graph(_family_spec(args).build(), args.out or sys.stdout)
     return 0
 
 
@@ -126,10 +115,7 @@ def _cmd_simulate(args) -> int:
         curve = dynamics.classical_evolve(g, start, _grid(args))
     else:
         curve = dynamics.unitary_evolve(g, start, _grid(args))
-    if args.out:
-        curve.to_csv(args.out)
-    else:
-        curve.to_csv(sys.stdout)
+    curve.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -153,6 +139,12 @@ def _cmd_compare(args) -> int:
     g_red = load_graph(args.reduced)
     gmap = load_group_map(args.map)
     result = convolve.ConvolutionResult(g_red, gmap, "loaded")
+    n = g_orig.node_count
+    if gmap.source_count != n:
+        raise GraphValidationError(f"map covers {gmap.source_count} nodes but the original graph has {n}")
+    for flag, node in (("--start", args.start), ("--target", args.target)):
+        if node is not None and not 0 <= node < n:
+            raise GraphValidationError(f"{flag} {node} out of range for the {n}-node original graph")
     start = args.start
     start_red = gmap.assignment[start]
     if args.sink:
@@ -177,7 +169,7 @@ def _cmd_spectrum(args) -> int:
         "distinct": analysis.distinct_eigenvalues(spec, args.tol),
         "tol": args.tol,
     }
-    _emit(json.dumps(doc, indent=1), args.out)
+    write_text(json.dumps(doc, indent=1) + "\n", args.out or sys.stdout)
     return 0
 
 
@@ -192,14 +184,14 @@ def _cmd_groups(args) -> int:
         ],
         "sample_times": list(part.sample_times),
     }
-    _emit(json.dumps(doc, indent=1), args.out)
+    write_text(json.dumps(doc, indent=1) + "\n", args.out or sys.stdout)
     return 0
 
 
 def _cmd_minimality(args) -> int:
     g = load_graph(args.infile)
     report = analysis.minimality_report(g, args.start, distinct_tol=args.tol)
-    _emit(json.dumps(report, indent=1), args.out)
+    write_text(json.dumps(report, indent=1) + "\n", args.out or sys.stdout)
     return 0
 
 
@@ -221,20 +213,13 @@ def _cmd_race(args) -> int:
         ),
     )
     records, summary = harness.run_hitting_races(config)
-    if args.out:
-        harness.races_to_csv(records, args.out)
-    else:
-        harness.races_to_csv(records, sys.stdout)
+    harness.races_to_csv(records, args.out or sys.stdout)
     print(json.dumps(summary, indent=1), file=sys.stderr)
     return 0
 
 
 def _cmd_export_couplings(args) -> int:
-    g = load_graph(args.infile)
-    if args.out:
-        harness.export_couplings(g, args.out)
-    else:
-        harness.export_couplings(g, sys.stdout)
+    harness.export_couplings(load_graph(args.infile), args.out or sys.stdout)
     return 0
 
 

@@ -1,16 +1,19 @@
 """Dynamics-preserving graph reductions.
 
-Each reduction returns the smaller weighted graph together with the GroupMap
-that witnesses which original nodes merge.  Starting the walk at the
-distinguished corner (all-zeros hypercube vertex, ring node 0, torus origin),
-the group-summed probabilities on the original graph coincide with the node
-probabilities on the reduced one.
+Every reduction is the quotient B = D^{-1/2} S^T A S D^{-1/2} of an equitable
+partition S with cell sizes D (Godsil & Royle, Algebraic Graph Theory, ch. 9),
+returned with the GroupMap witness of which original nodes merge.  Cartesian
+products reduce factor by factor.  The hypercube alone keeps its closed form:
+it is the one reduction that never builds the original 2^dim-node graph.
+Starting the walk at the distinguished corner (all-zeros hypercube vertex,
+ring node 0, torus origin), group-summed probabilities on the original graph
+coincide with node probabilities on the reduced one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from .graphs import (
     GroupMap,
     build_cycle,
     build_weighted_line,
-    cartesian_power,
     cartesian_product,
 )
 
@@ -41,6 +43,59 @@ class ConvolutionResult:
             )
 
 
+def quotient(
+    g: Graph, assignment, method: str, labels=None, meta: dict | None = None, tol: float = 1e-12
+) -> ConvolutionResult:
+    """Reduce g onto the cells of an equitable partition.
+
+    assignment[v] is the cell of node v (cells numbered 0..m-1, all used).
+    Raises GraphValidationError when an edge joins two nodes of one cell, or
+    when the partition is not equitable: the residual max |AS - S D^{-1} S^T A S|,
+    how far a node's weight into a cell strays from its cell's mean, must not
+    exceed tol.  Cells P and Q with total weight t between them get the
+    coupling sqrt(t^2 / (|P| |Q|)), not t / sqrt(|P| |Q|): where the radicand
+    is an integer this rounds once, so the closed forms come out bit for bit.
+    """
+    gmap = GroupMap(g.node_count, max(assignment) + 1, assignment)
+    m, cells = gmap.target_count, np.array(gmap.assignment)
+    edges = np.array(g.edges).reshape(-1, 3)
+    i, j, w = edges[:, 0].astype(int), edges[:, 1].astype(int), edges[:, 2]
+    inside = np.flatnonzero(cells[i] == cells[j])
+    if inside.size:
+        e = inside[0]
+        raise GraphValidationError(f"edge ({i[e]},{j[e]}) lies inside cell {cells[i[e]]}")
+    to_cell = np.zeros((g.node_count, m))  # AS: weight from each node into each cell
+    np.add.at(to_cell, (i, cells[j]), w)
+    np.add.at(to_cell, (j, cells[i]), w)
+    total = np.zeros((m, m))  # S^T A S: total weight between cells
+    np.add.at(total, cells, to_cell)
+    sizes = np.bincount(cells)
+    deviation = np.abs(to_cell - (total / sizes[:, None])[cells])
+    residual = deviation.max()
+    if residual > tol:
+        v, q = np.unravel_index(deviation.argmax(), deviation.shape)
+        raise GraphValidationError(
+            f"partition is not equitable: residual {residual:.3e} above tol {tol:g} "
+            f"(weight from node {v} into cell {q})"
+        )
+    coupling = np.sqrt(total**2 / np.outer(sizes, sizes))
+    reduced = [(int(p), int(q), float(coupling[p, q])) for p, q in zip(*np.nonzero(np.triu(total, 1)))]
+    return ConvolutionResult(Graph(m, tuple(reduced), labels, meta), gmap, method)
+
+
+def _product(factors: list[ConvolutionResult], method: str) -> ConvolutionResult:
+    """Cartesian product of reductions: the Kronecker sum of the reduced graphs.
+
+    Original node (u_1, ..., u_D), indexed row-major like cartesian_product,
+    maps to (map_1(u_1), ..., map_D(u_D)) on the product of the reduced graphs.
+    """
+    reduced, assignment = factors[0].reduced, factors[0].map.assignment
+    for f in factors[1:]:
+        reduced = cartesian_product(reduced, f.reduced)
+        assignment = tuple(a * f.map.target_count + b for a in assignment for b in f.map.assignment)
+    return ConvolutionResult(reduced, GroupMap(len(assignment), reduced.node_count, assignment), method)
+
+
 def hypercube_to_line(dim: int) -> ConvolutionResult:
     """Collapse the dim-hypercube onto a (dim+1)-node weighted line.
 
@@ -57,20 +112,14 @@ def hypercube_to_line(dim: int) -> ConvolutionResult:
     return ConvolutionResult(line, GroupMap(n, dim + 1, assignment), "hypercube_line")
 
 
-def cycle_couplings(k: int) -> list[float]:
-    """Couplings of the k-ring's reduced line: sqrt(2) at both ends, 1 inside."""
-    if k < 4 or k % 2 != 0:
-        raise GraphValidationError(f"cycle size must be an even integer >= 4, got {k}")
-    kappa = k // 2 + 1
-    # a kappa-node path has kappa-1 edges; ends (first and k/2-th) carry sqrt(2)
-    return [math.sqrt(2.0) if i in (1, k // 2) else 1.0 for i in range(1, kappa)]
-
-
 def cycle_to_line(k: int) -> ConvolutionResult:
-    """Collapse the k-ring onto a (k/2 + 1)-node line by ring distance from node 0."""
-    line = build_weighted_line(cycle_couplings(k))
-    assignment = tuple(min(j, k - j) for j in range(k))
-    return ConvolutionResult(line, GroupMap(k, k // 2 + 1, assignment), "cycle_line")
+    """Collapse the k-ring onto a (k/2 + 1)-node line by ring distance from node 0.
+
+    The couplings are sqrt(2) at both ends and 1 inside.
+    """
+    conv = quotient(build_cycle(k), [min(j, k - j) for j in range(k)], "cycle_line")
+    line = build_weighted_line([w for _, _, w in conv.reduced.edges])
+    return replace(conv, reduced=line)
 
 
 def hypercycle_to_lattice(dim: int, k: int) -> ConvolutionResult:
@@ -82,23 +131,7 @@ def hypercycle_to_lattice(dim: int, k: int) -> ConvolutionResult:
     """
     if dim < 1:
         raise GraphValidationError(f"hypercycle dimension must be >= 1, got {dim}")
-    base = cycle_to_line(k)
-    lattice = cartesian_power(base.reduced, dim)
-    kappa = base.reduced.node_count
-    n = k**dim
-    assignment = []
-    for u in range(n):
-        coords = []
-        rest = u
-        for _ in range(dim):
-            rest, j = divmod(rest, k)
-            coords.append(j)
-        coords.reverse()  # row-major: first coordinate is most significant
-        idx = 0
-        for j in coords:
-            idx = idx * kappa + min(j, k - j)
-        assignment.append(idx)
-    return ConvolutionResult(lattice, GroupMap(n, kappa**dim, tuple(assignment)), "product_of_lines")
+    return _product([cycle_to_line(k)] * dim, "product_of_lines")
 
 
 def partial_hypercycle_convolution(k: int) -> ConvolutionResult:
@@ -107,12 +140,8 @@ def partial_hypercycle_convolution(k: int) -> ConvolutionResult:
     The torus (j1, j2) maps to (ring distance of j1, j2) on the product of the
     reduced line with the untouched k-ring.
     """
-    base = cycle_to_line(k)
-    cylinder = cartesian_product(base.reduced, build_cycle(k))
-    assignment = tuple(min(j1, k - j1) * k + j2 for j1 in range(k) for j2 in range(k))
-    return ConvolutionResult(
-        cylinder, GroupMap(k * k, cylinder.node_count, assignment), "cycle_line"
-    )
+    ring = ConvolutionResult(build_cycle(k), GroupMap.identity(k), "identity")
+    return _product([cycle_to_line(k), ring], "cycle_line")
 
 
 def _lattice_coords(g: Graph, side: int) -> None:
@@ -133,54 +162,26 @@ def _lattice_coords(g: Graph, side: int) -> None:
 def lattice_fold(lattice: Graph, side: int, tol: float = 1e-12) -> ConvolutionResult:
     """Fold a swap-symmetric side x side lattice across its main diagonal.
 
-    Requires the mirror symmetry (a, b) -> (b, a) to preserve edge weights.
     Sites (a, b) and (b, a) merge into the unordered pair {a, b}; the folded
-    graph lives on the side*(side+1)/2 pairs a <= b.  An edge pair exchanged
-    by the mirror collapses to a single edge.  Where the pair meets the
-    diagonal the two incident weights combine in quadrature,
-    sqrt(w_side1^2 + w_side2^2); between two off-diagonal pair-nodes the
-    common weight is kept, which is exactly the coupling of the normalized
-    mirror-symmetric basis states.  The fold preserves walk dynamics only for
-    walks started on the diagonal (corner (0, 0) in the experiments here).
+    graph lives on the side*(side+1)/2 pairs a <= b.  The partition is
+    equitable exactly when the mirror symmetry (a, b) -> (b, a) preserves
+    edge weights (within tol).  An edge pair exchanged by the mirror
+    collapses to a single edge: where the pair meets the diagonal the two
+    incident weights combine in quadrature, sqrt(w_side1^2 + w_side2^2);
+    between two off-diagonal pair-nodes the common weight is kept.  The fold
+    preserves walk dynamics only for walks started on the diagonal (corner
+    (0, 0) in the experiments here).
     """
     _lattice_coords(lattice, side)
-    a_mat = lattice.adjacency_matrix()
-
-    def mirror(node: int) -> int:
-        r, c = divmod(node, side)
-        return c * side + r
-
-    for i, j, w in lattice.edges:
-        wm = a_mat[mirror(i), mirror(j)]
-        if abs(wm - w) > tol:
-            raise GraphValidationError(
-                f"lattice is not swap-symmetric: edge ({i},{j}) weight {w} vs mirrored {wm}"
-            )
-
     pairs = [(a, b) for a in range(side) for b in range(a, side)]
     index = {ab: p for p, ab in enumerate(pairs)}
-    orbit_size = [1 if a == b else 2 for a, b in pairs]
-
-    def fold_node(node: int) -> int:
-        r, c = divmod(node, side)
-        return index[(min(r, c), max(r, c))]
-
-    m = len(pairs)
-    coupling_sum = np.zeros((m, m))
-    for i, j, w in lattice.edges:
-        p, q = fold_node(i), fold_node(j)
-        coupling_sum[p, q] += w
-        coupling_sum[q, p] += w
-
-    edges = []
-    for p in range(m):
-        for q in range(p + 1, m):
-            if coupling_sum[p, q] > 0:
-                w = coupling_sum[p, q] / math.sqrt(orbit_size[p] * orbit_size[q])
-                edges.append((p, q, w))
-    folded = Graph(m, tuple(edges), labels=tuple(pairs), meta={"family": "folded_lattice", "side": side})
-    assignment = tuple(fold_node(v) for v in range(lattice.node_count))
-    return ConvolutionResult(folded, GroupMap(lattice.node_count, m, assignment), "lattice_fold")
+    sites = (divmod(v, side) for v in range(lattice.node_count))
+    assignment = [index[min(r, c), max(r, c)] for r, c in sites]
+    meta = {"family": "folded_lattice", "side": side}
+    try:
+        return quotient(lattice, assignment, "lattice_fold", pairs, meta, tol)
+    except GraphValidationError as exc:
+        raise GraphValidationError(f"lattice is not swap-symmetric: {exc}") from exc
 
 
 def compose_maps(outer: GroupMap, inner: GroupMap) -> GroupMap:

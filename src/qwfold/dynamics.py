@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError
+from .graphs import Graph, GraphValidationError, write_text
 
 DEFAULT_SUBSTEP = 1e-3
 
@@ -153,12 +153,7 @@ class WalkCurve:
         lines = [",".join(header)]
         for t, row in zip(self.grid.times(), self.probabilities):
             lines.append(",".join(f"{x:.12g}" for x in [t, *row]))
-        text = "\n".join(lines) + "\n"
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        write_text("\n".join(lines) + "\n", destination)
 
 
 def _check_start(g: Graph, start: int) -> None:
@@ -179,18 +174,23 @@ def _symmetric_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def unitary_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
-    """Schroedinger evolution exp(-i*A*t) from a single-node start state.
+def unitary_probabilities(g: Graph, start: int, times) -> np.ndarray:
+    """Node probabilities |<v|exp(-i*A*t)|start>|^2, one row per time in times.
 
     Uses the real-symmetric eigendecomposition of the adjacency matrix, so
-    the result is grid-independent (no time stepping involved).
+    the times may be arbitrary (no time stepping involved).
     """
     _check_start(g, start)
     vals, vecs = _symmetric_eigh(g.adjacency_matrix())
     coeff = vecs[start, :]  # V^T e_start
-    phases = np.exp(-1j * np.outer(grid.times(), vals))
+    phases = np.exp(-1j * np.outer(times, vals))
     amps = (phases * coeff) @ vecs.T
-    return WalkCurve(grid, np.abs(amps) ** 2, "unitary")
+    return np.abs(amps) ** 2
+
+
+def unitary_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
+    """Schroedinger evolution exp(-i*A*t) from a single-node start state."""
+    return WalkCurve(grid, unitary_probabilities(g, start, grid.times()), "unitary")
 
 
 def _gksl_rhs(h, rho, target, sink: int, gamma: float, batch_index=None) -> np.ndarray:

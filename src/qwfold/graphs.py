@@ -8,6 +8,7 @@ adjacency matrix is always real symmetric with zero diagonal.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,6 +61,8 @@ class Graph:
                 raise GraphValidationError(f"self-loop on node {i}")
             if w <= 0:
                 raise GraphValidationError(f"edge ({i},{j}) has non-positive weight {w}")
+            if not math.isfinite(w):
+                raise GraphValidationError(f"edge ({i},{j}) has non-finite weight {w}")
             a, b = (i, j) if i < j else (j, i)
             if (a, b) in seen:
                 raise GraphValidationError(f"duplicate edge for pair ({a},{b})")
@@ -347,6 +350,18 @@ def graph_to_document(g: Graph) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    """JSON integer test: bool is an int subclass in Python but not a node index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_field(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise GraphValidationError(f"{key!r} must be an array, got {type(value).__name__}")
+    return value
+
+
 def graph_from_document(doc) -> Graph:
     if not isinstance(doc, dict):
         raise GraphValidationError("graph document must be a JSON object")
@@ -354,20 +369,23 @@ def graph_from_document(doc) -> Graph:
         if key not in doc:
             raise GraphValidationError(f"graph document missing required key {key!r}")
     nodes = doc["nodes"]
-    if not isinstance(nodes, int) or nodes < 1:
+    if not _is_int(nodes) or nodes < 1:
         raise GraphValidationError(f"'nodes' must be a positive integer, got {nodes!r}")
     edges = []
-    for pos, entry in enumerate(doc["edges"]):
+    for pos, entry in enumerate(_list_field(doc, "edges")):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise GraphValidationError(f"edge #{pos} is not an [i, j, w] triple: {entry!r}")
         i, j, w = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise GraphValidationError(f"edge #{pos} endpoints must be integers: {entry!r}")
-        if not isinstance(w, (int, float)):
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise GraphValidationError(f"edge #{pos} weight must be a number: {entry!r}")
         edges.append((i, j, float(w)))
     labels = doc.get("labels")
     if labels is not None:
+        for pos, lab in enumerate(_list_field(doc, "labels")):
+            if not (isinstance(lab, list) and all(_is_int(c) for c in lab)):
+                raise GraphValidationError(f"label #{pos} must be an array of integers: {lab!r}")
         labels = tuple(tuple(lab) for lab in labels)
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
@@ -375,55 +393,51 @@ def graph_from_document(doc) -> Graph:
     return Graph(nodes, tuple(edges), labels, meta)
 
 
-def save_graph(g: Graph, destination) -> None:
-    """Write the graph document as UTF-8 JSON to a path or file object."""
-    doc = graph_to_document(g)
-    text = json.dumps(doc, indent=1)
+def write_text(text: str, destination) -> None:
+    """Write text to a path (UTF-8, no newline translation) or to a text stream."""
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        with open(destination, "w", encoding="utf-8") as fh:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _read_json(source, kind: str):
+    """Parse the JSON document at a path (UTF-8) or in a text stream."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphValidationError(f"malformed {kind} document: {exc}") from exc
+
+
+def save_graph(g: Graph, destination) -> None:
+    """Write the graph document as UTF-8 JSON to a path or file object."""
+    write_text(json.dumps(graph_to_document(g), indent=1), destination)
 
 
 def load_graph(source) -> Graph:
     """Read a graph document from a path or file object; validates invariants."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphValidationError(f"malformed graph document: {exc}") from exc
-    return graph_from_document(doc)
+    return graph_from_document(_read_json(source, "graph"))
 
 
 def save_group_map(m: GroupMap, destination) -> None:
     """Write a map document: {"assignment": [...]} of length source_count."""
-    text = json.dumps({"assignment": list(m.assignment)})
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    write_text(json.dumps({"assignment": list(m.assignment)}), destination)
 
 
 def load_group_map(source) -> GroupMap:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphValidationError(f"malformed map document: {exc}") from exc
+    doc = _read_json(source, "map")
     if not isinstance(doc, dict) or "assignment" not in doc:
         raise GraphValidationError("map document must be an object with an 'assignment' array")
-    assignment = doc["assignment"]
+    assignment = _list_field(doc, "assignment")
     if not assignment:
         raise GraphValidationError("'assignment' must be a non-empty array")
-    target = max(int(a) for a in assignment) + 1
-    return GroupMap(len(assignment), target, tuple(assignment))
+    bad = [a for a in assignment if not _is_int(a)]
+    if bad:
+        raise GraphValidationError(f"'assignment' entries must be integers, got {bad[0]!r}")
+    return GroupMap(len(assignment), max(assignment) + 1, tuple(assignment))

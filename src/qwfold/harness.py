@@ -32,7 +32,7 @@ from .dynamics import (
     lindblad_evolve,
     unitary_evolve,
 )
-from .graphs import Graph, GraphFamilySpec, GraphValidationError, bfs_distances, load_graph
+from .graphs import Graph, GraphFamilySpec, GraphValidationError, bfs_distances, load_graph, write_text
 
 RACE_CSV_HEADER = "pair,source,target,d,classical_steps,quantum_steps,winner"
 
@@ -349,12 +349,7 @@ def races_to_csv(records: list[HittingRecord], destination) -> None:
         c = -1 if r.classical_steps is None else r.classical_steps
         q = -1 if r.quantum_steps is None else r.quantum_steps
         lines.append(f"{r.pair_index},{r.source},{r.target},{r.d},{c},{q},{r.winner}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_text("\n".join(lines) + "\n", destination)
 
 
 def path_couplings(g: Graph) -> list[tuple[str, float]]:
@@ -388,10 +383,5 @@ def export_couplings(g: Graph, destination) -> list[tuple[str, float]]:
     """Write the waveguide coupling table as `edge,coupling` CSV rows."""
     rows = path_couplings(g)
     lines = ["edge,coupling"] + [f"{edge},{w:.12g}" for edge, w in rows]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_text("\n".join(lines) + "\n", destination)
     return rows

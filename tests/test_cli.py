@@ -239,3 +239,51 @@ def test_export_couplings_rejects_ring(tmp_path):
     gpath = tmp_path / "ring.json"
     run(["graph", "build", "--family", "cycle", "--k", "6", "--out", str(gpath)])
     assert run(["export-couplings", "--in", str(gpath)]) == 1
+
+
+# --- input validation -------------------------------------------------------------
+
+
+def test_graph_build_rejects_non_finite_couplings(tmp_path, capsys):
+    out = tmp_path / "line.json"
+    assert run(["graph", "build", "--family", "weighted_line", "--couplings", "nan,inf",
+                "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _cube_and_line(tmp_path):
+    cube, line, mp = (tmp_path / n for n in ("cube.json", "line.json", "map.json"))
+    run(["graph", "build", "--family", "hypercube", "--dim", "3", "--out", str(cube)])
+    run(["convolve", "--family", "hypercube", "--dim", "3", "--out", str(line), "--map", str(mp)])
+    return ["--orig", str(cube), "--reduced", str(line), "--map", str(mp)]
+
+
+@pytest.mark.parametrize(
+    "extra,flag",
+    [(["--start", "99"], "--start"), (["--start", "-1"], "--start"),
+     (["--sink", "--target", "99"], "--target")],
+    ids=["start-high", "start-negative", "sink-target-high"],
+)
+def test_compare_range_checks_nodes(tmp_path, capsys, extra, flag):
+    files = _cube_and_line(tmp_path)
+    capsys.readouterr()
+    assert run(["compare", *files, *extra, "--tmax", "1", "--dt", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag}" in err and "out of range" in err
+
+
+def test_compare_rejects_malformed_map(tmp_path, capsys):
+    files = _cube_and_line(tmp_path)
+    (tmp_path / "map.json").write_text('{"assignment": 3}')
+    capsys.readouterr()
+    assert run(["compare", *files]) == 1
+    assert "assignment" in capsys.readouterr().err
+
+
+def test_compare_rejects_map_of_other_graph(tmp_path, capsys):
+    files = _cube_and_line(tmp_path)
+    (tmp_path / "map.json").write_text('{"assignment": [0, 1, 2, 3]}')
+    capsys.readouterr()
+    assert run(["compare", *files, "--start", "5"]) == 1
+    assert "map covers 4 nodes" in capsys.readouterr().err

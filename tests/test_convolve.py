@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwfold.analysis import verify_equivalence
 from qwfold.convolve import (
@@ -12,9 +14,11 @@ from qwfold.convolve import (
     hypercycle_to_lattice,
     lattice_fold,
     partial_hypercycle_convolution,
+    quotient,
 )
 from qwfold.dynamics import SinkSpec, TimeGrid
 from qwfold.graphs import (
+    Graph,
     GraphValidationError,
     GroupMap,
     build_cycle,
@@ -299,3 +303,67 @@ def test_compose_torus_chain_counts():
 def test_compose_rejects_mismatched_counts():
     with pytest.raises(GraphValidationError, match="compose"):
         compose_maps(GroupMap(3, 2, (0, 1, 1)), GroupMap(4, 2, (0, 0, 1, 1)))
+
+
+# --- equitable-partition quotient ----------------------------------------------
+
+
+def popcount_assignment(dim):
+    return [bin(u).count("1") for u in range(1 << dim)]
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_hypercube_closed_form_equals_quotient_bitwise(dim):
+    closed = hypercube_to_line(dim)
+    generic = quotient(build_hypercube(dim), popcount_assignment(dim), "hypercube_line")
+    assert generic.reduced.node_count == closed.reduced.node_count
+    assert generic.reduced.edges == closed.reduced.edges  # exact float equality
+    assert generic.map == closed.map
+
+
+@pytest.mark.parametrize("k", range(4, 60, 2))
+def test_cycle_line_matches_closed_form_bitwise(k):
+    expected = [R2] + [1.0] * (k // 2 - 2) + [R2]
+    assert couplings(cycle_to_line(k).reduced) == expected
+
+
+def test_quotient_rejects_non_equitable_partition():
+    # path 0-1-2-3 with cells {0, 3}, {1}, {2}: node 0 sends weight 1 into
+    # cell {1}, node 3 sends 0, so each strays 0.5 from the cell mean
+    path = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+    with pytest.raises(GraphValidationError, match=r"not equitable: residual 5\.000e-01"):
+        quotient(path, [0, 1, 2, 0], "bad")
+
+
+def test_quotient_rejects_edge_inside_cell():
+    with pytest.raises(GraphValidationError, match="inside cell 1"):
+        quotient(build_cycle(4), [0, 1, 1, 2], "bad")
+
+
+def test_quotient_of_discrete_partition_is_the_graph():
+    g = build_weighted_lattice([0.5, 2.0], [1.5, 0.25])
+    conv = quotient(g, range(g.node_count), "identity")
+    assert conv.reduced.edges == g.edges
+
+
+@st.composite
+def mirror_symmetric_lattices(draw):
+    """Square lattice whose weights satisfy w(a,b ~ a,b+1) = w(b,a ~ b+1,a)."""
+    side = draw(st.integers(2, 5))
+    weight = st.floats(0.05, 5.0, allow_nan=False, allow_infinity=False)
+    edges = []
+    for a in range(side):
+        for b in range(side - 1):
+            w = draw(weight)
+            edges.append((a * side + b, a * side + b + 1, w))  # row step
+            edges.append((b * side + a, (b + 1) * side + a, w))  # its mirror image
+    return side, Graph(side * side, tuple(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mirror_symmetric_lattices())
+def test_fold_preserves_unitary_dynamics_random_mirror_lattice(case):
+    side, lattice = case
+    fold = lattice_fold(lattice, side)
+    assert fold.reduced.node_count == side * (side + 1) // 2
+    assert verify_equivalence(lattice, 0, fold, 0, TimeGrid(4.0, 0.1)) < 1e-8

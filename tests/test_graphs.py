@@ -19,6 +19,7 @@ from qwfold.graphs import (
     cartesian_product,
     distance_matrix,
     graph_distance,
+    graph_to_document,
     load_graph,
     load_group_map,
     save_graph,
@@ -387,3 +388,66 @@ def test_family_spec_builds():
 def test_family_spec_rejects_unknown():
     with pytest.raises(GraphValidationError):
         GraphFamilySpec("moebius").build()
+
+
+# --- malformed documents ------------------------------------------------------
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_graph_rejects_non_finite_weight(weight):
+    with pytest.raises(GraphValidationError):
+        Graph(2, ((0, 1, weight),))
+
+
+def test_weighted_line_rejects_non_finite_couplings():
+    with pytest.raises(GraphValidationError, match="non-finite"):
+        build_weighted_line([math.nan, math.inf])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nodes": 2, "edges": [[0, 1, NaN]]}',
+        '{"nodes": 2, "edges": [[0, 1, Infinity]]}',
+        '{"nodes": 2, "edges": 5}',
+        '{"nodes": 2, "edges": null}',
+        '{"nodes": 2, "edges": [[0, 1, 1.0]], "labels": 7}',
+        '{"nodes": 2, "edges": [[0, 1, 1.0]], "labels": [3, 4]}',
+        '{"nodes": 2, "edges": [[0, 1, 1.0]], "labels": [["a"], ["b"]]}',
+        '{"nodes": 2, "edges": [[false, true, 1.0]]}',
+        '{"nodes": true, "edges": []}',
+        '{"nodes": 2, "edges": [[0, 1, true]]}',
+    ],
+    ids=["nan-weight", "inf-weight", "edges-number", "edges-null", "labels-number",
+         "label-not-array", "label-not-int", "bool-endpoints", "bool-nodes", "bool-weight"],
+)
+def test_load_graph_rejects_malformed_document(text):
+    with pytest.raises(GraphValidationError):
+        load_graph(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"assignment": 3}',
+        '{"assignment": {"0": 1}}',
+        '{"assignment": [0, 1.7, 1]}',
+        '{"assignment": [0, true, 1]}',
+        '{"assignment": [0, "1"]}',
+    ],
+    ids=["number", "object", "fractional", "bool", "string"],
+)
+def test_load_group_map_rejects_malformed_document(text):
+    with pytest.raises(GraphValidationError):
+        load_group_map(io.StringIO(text))
+
+
+def test_save_graph_bytes_match_json_dump(tmp_path):
+    g = build_weighted_line([math.sqrt(3), 2.0, math.sqrt(3)])
+    path = tmp_path / "line.json"
+    save_graph(g, path)
+    buf = io.StringIO()
+    save_graph(g, buf)
+    expected = json.dumps(graph_to_document(g), indent=1)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert buf.getvalue() == expected
