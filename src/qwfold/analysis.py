@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import ConvolutionResult
-from .dynamics import SinkSpec, TimeGrid, lindblad_evolve, unitary_evolve, unitary_probabilities
-from .graphs import Graph, GraphValidationError, bfs_distances
+from .dynamics import SinkSpec, TimeGrid, WalkCurve, lindblad_evolve, unitary_evolve, unitary_probabilities
+from .graphs import Graph, GraphValidationError, GroupMap, bfs_distances
 
 JACOBI_TOL = 1e-11
 JACOBI_MAX_SWEEPS = 100
@@ -176,6 +176,16 @@ def equiprobable_groups(
     )
 
 
+def _curve_deviation(orig: WalkCurve, reduced: WalkCurve, gmap: GroupMap | None) -> float:
+    """Max deviation over sample times: sink populations for sink curves;
+    otherwise each reduced node against its preimage (under gmap) summed."""
+    if orig.has_sink:
+        return float(np.abs(orig.sink_series() - reduced.sink_series()).max())
+    onehot = np.zeros((orig.node_count, reduced.node_count))
+    onehot[np.arange(orig.node_count), list(gmap.assignment)] = 1.0
+    return float(np.abs(orig.probabilities @ onehot - reduced.probabilities).max())
+
+
 def verify_equivalence(
     g_orig: Graph,
     start_orig: int,
@@ -194,10 +204,12 @@ def verify_equivalence(
     rate and compare the sink populations.
     """
     gmap = result.map
-    if gmap.source_count != g_orig.node_count:
-        raise GraphValidationError(
-            f"map covers {gmap.source_count} nodes but graph has {g_orig.node_count}"
-        )
+    n = g_orig.node_count
+    if gmap.source_count != n:
+        raise GraphValidationError(f"map covers {gmap.source_count} nodes but graph has {n}")
+    for node in (start_orig,) if sink_mode is None else (start_orig, sink_mode[0].target):
+        if not 0 <= node < n:
+            raise GraphValidationError(f"node {node} out of range for the {n}-node original graph")
     if gmap.assignment[start_orig] != start_reduced:
         raise GraphValidationError(
             f"map sends start {start_orig} to {gmap.assignment[start_orig]}, "
@@ -206,22 +218,18 @@ def verify_equivalence(
     if sink_mode is None:
         orig = unitary_evolve(g_orig, start_orig, grid)
         red = unitary_evolve(result.reduced, start_reduced, grid)
-        onehot = np.zeros((g_orig.node_count, result.reduced.node_count))
-        onehot[np.arange(g_orig.node_count), list(gmap.assignment)] = 1.0
-        grouped = orig.probabilities @ onehot
-        return float(np.abs(grouped - red.probabilities).max())
-
-    sink_orig, sink_red = sink_mode
-    if sink_orig.rate != sink_red.rate:
-        raise GraphValidationError("sink pair must share the decay rate")
-    if gmap.assignment[sink_orig.target] != sink_red.target:
-        raise GraphValidationError(
-            f"map sends target {sink_orig.target} to {gmap.assignment[sink_orig.target]}, "
-            f"not to the reduced target {sink_red.target}"
-        )
-    orig = lindblad_evolve(g_orig, start_orig, sink_orig, grid, substep)
-    red = lindblad_evolve(result.reduced, start_reduced, sink_red, grid, substep)
-    return float(np.abs(orig.sink_series() - red.sink_series()).max())
+    else:
+        sink_orig, sink_red = sink_mode
+        if sink_orig.rate != sink_red.rate:
+            raise GraphValidationError("sink pair must share the decay rate")
+        if gmap.assignment[sink_orig.target] != sink_red.target:
+            raise GraphValidationError(
+                f"map sends target {sink_orig.target} to {gmap.assignment[sink_orig.target]}, "
+                f"not to the reduced target {sink_red.target}"
+            )
+        orig = lindblad_evolve(g_orig, start_orig, sink_orig, grid, substep)
+        red = lindblad_evolve(result.reduced, start_reduced, sink_red, grid, substep)
+    return _curve_deviation(orig, red, gmap)
 
 
 def minimality_report(

@@ -3,7 +3,10 @@
 Conventions: hbar = 1 and the hopping frequency is normalized to 1, so all
 times, rates and couplings are dimensionless.  The quantum Hamiltonian is the
 adjacency matrix itself; detection attaches an absorbing sink node to the
-target via a single collapse operator |sink><target| with rate gamma.
+target via a single collapse operator |sink><target| with rate gamma.  The
+graph block then evolves under H_eff = A - i*gamma/2*|target><target| (the
+no-jump picture of Caruso et al., J. Chem. Phys. 131, 105106, 2009):
+d(rho)/dt = -i(H_eff rho - rho H_eff^dagger) + gamma*rho_tt*|sink><sink|.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("t_max and dt must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_max < math.inf):
+            raise ValueError(f"t_max and dt must be positive and finite, got {self.t_max}, {self.dt}")
         if self.dt > self.t_max:
             raise ValueError(f"dt={self.dt} exceeds t_max={self.t_max}")
         ratio = self.t_max / self.dt
@@ -67,8 +70,8 @@ class SinkSpec:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"decay rate must be nonnegative, got {self.rate}")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"decay rate must be nonnegative and finite, got {self.rate}")
         if self.target >= self.sink:
             raise ValueError("sink must be the appended node (target < sink)")
 
@@ -193,25 +196,6 @@ def unitary_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
     return WalkCurve(grid, unitary_probabilities(g, start, grid.times()), "unitary")
 
 
-def _gksl_rhs(h, rho, target, sink: int, gamma: float, batch_index=None) -> np.ndarray:
-    """Right-hand side of the master equation with L = |sink><target|.
-
-    target is a node index shared by the whole batch, or (with batch_index
-    set to arange(batch)) one node index per batch member.
-    """
-    drho = -1j * (h @ rho - rho @ h)
-    if gamma:
-        if batch_index is None:
-            drho[..., target, :] -= (gamma / 2.0) * rho[..., target, :]
-            drho[..., :, target] -= (gamma / 2.0) * rho[..., :, target]
-            drho[..., sink, sink] += gamma * rho[..., target, target]
-        else:
-            drho[batch_index, target, :] -= (gamma / 2.0) * rho[batch_index, target, :]
-            drho[batch_index, :, target] -= (gamma / 2.0) * rho[batch_index, :, target]
-            drho[batch_index, sink, sink] += gamma * rho[batch_index, target, target]
-    return drho
-
-
 def _lindblad_diagonals(
     a_sys: np.ndarray,
     starts,
@@ -229,20 +213,25 @@ def _lindblad_diagonals(
     n = a_sys.shape[0]
     m = n + 1
     sink = n
-    h = np.zeros((m, m), dtype=complex)
-    h[:n, :n] = a_sys
+
+    b = len(starts)
+    rows = np.arange(b)
+    targets = np.broadcast_to(np.asarray(targets, dtype=int), (b,))
+    h_eff = np.zeros((b, m, m), dtype=complex)
+    h_eff[:, :n, :n] = a_sys
+    h_eff[rows, targets, targets] -= 0.5j * gamma
+    h_eff_dag = h_eff.conj()  # A is real symmetric, so H_eff^dagger = conj(H_eff)
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        drho = -1j * (h_eff @ rho - rho @ h_eff_dag)
+        drho[rows, sink, sink] += gamma * rho[rows, targets, targets]
+        return drho
 
     steps_per_sample = max(1, round(grid.dt / substep))
     dt = grid.dt / steps_per_sample
 
-    b = len(starts)
     rho = np.zeros((b, m, m), dtype=complex)
-    for r, s in enumerate(starts):
-        rho[r, s, s] = 1.0
-    if np.ndim(targets) == 0:
-        target, batch_index = int(targets), None
-    else:
-        target, batch_index = np.asarray(targets, dtype=int), np.arange(b)
+    rho[rows, starts, starts] = 1.0
 
     samples = grid.sample_count
     out = np.empty((b, samples, m))
@@ -266,10 +255,10 @@ def _lindblad_diagonals(
     record(0)
     for s_idx in range(1, samples):
         for _ in range(steps_per_sample):
-            k1 = _gksl_rhs(h, rho, target, sink, gamma, batch_index)
-            k2 = _gksl_rhs(h, rho + (dt / 2.0) * k1, target, sink, gamma, batch_index)
-            k3 = _gksl_rhs(h, rho + (dt / 2.0) * k2, target, sink, gamma, batch_index)
-            k4 = _gksl_rhs(h, rho + dt * k3, target, sink, gamma, batch_index)
+            k1 = rhs(rho)
+            k2 = rhs(rho + (dt / 2.0) * k1)
+            k3 = rhs(rho + (dt / 2.0) * k2)
+            k4 = rhs(rho + dt * k3)
             rho += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         record(s_idx)
     return out
@@ -286,6 +275,9 @@ def lindblad_evolve(
 
     The sink is appended as node n, coupled to the graph only through the
     collapse operator; the curve's last column is the sink population.  The
+    right-hand side is -i(H_eff rho - rho H_eff^dagger) with
+    H_eff = A - i*rate/2*|target><target|, plus rate*rho_tt fed into the
+    sink (Caruso et al., J. Chem. Phys. 131, 105106, 2009).  The
     internal RK4 step is grid.dt split into substeps no longer than
     ``substep``; trace drift beyond 1e-8 or a negative eigenvalue beyond
     -1e-6 abort the run.

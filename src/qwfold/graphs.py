@@ -127,6 +127,9 @@ class GroupMap:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
+        bad = [a for a in self.assignment if not _is_int(a)]
+        if bad:
+            raise GraphValidationError(f"assignment entries must be integers, got {bad[0]!r}")
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
         if len(self.assignment) != self.source_count:
             raise GraphValidationError(
@@ -351,8 +354,8 @@ def graph_to_document(g: Graph) -> dict:
 
 
 def _is_int(x) -> bool:
-    """JSON integer test: bool is an int subclass in Python but not a node index."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Python or NumPy integer; bool is an int subclass but not a node index."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _list_field(doc: dict, key: str) -> list:
@@ -437,7 +440,5 @@ def load_group_map(source) -> GroupMap:
     assignment = _list_field(doc, "assignment")
     if not assignment:
         raise GraphValidationError("'assignment' must be a non-empty array")
-    bad = [a for a in assignment if not _is_int(a)]
-    if bad:
-        raise GraphValidationError(f"'assignment' entries must be integers, got {bad[0]!r}")
-    return GroupMap(len(assignment), max(assignment) + 1, tuple(assignment))
+    top = max((a for a in assignment if _is_int(a)), default=0)
+    return GroupMap(len(assignment), top + 1, tuple(assignment))

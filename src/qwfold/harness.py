@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .analysis import verify_equivalence
+from .analysis import _curve_deviation
 from .convolve import (
     ConvolutionResult,
     compose_maps,
@@ -148,8 +149,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.pair_count < 1:
             raise ValueError("pair_count must be >= 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
     def resolve_graph(self) -> Graph:
         if isinstance(self.source, GraphFamilySpec):
@@ -227,46 +228,39 @@ class EquivalenceOutcome:
 def run_equivalence_experiment(config: ExperimentConfig) -> EquivalenceOutcome:
     """Walk one family's reduction chain and measure curve agreement.
 
-    Sink chains (torus, lattice): one sink-detected run per representation,
-    corner start, farthest-node target; deviations compare sink populations.
-    Unitary chains (hypercube, cycle): deviations compare group-summed node
-    probabilities through the witness map.
+    Each representation is evolved once, from the image of the original's
+    corner (node 0) and with the image of its farthest node as target; both
+    images are checked against the representation's own corner and farthest
+    node.  Sink chains (torus, lattice) run sink-detected walks and compare
+    every pair's sink populations; unitary chains (hypercube, cycle) run
+    unitary walks and compare group-summed node probabilities through the
+    witness map.
     """
     if not isinstance(config.source, GraphFamilySpec):
         raise GraphValidationError("equivalence experiment needs a graph family, not a file")
     names, graphs, convs, sink_mode = equivalence_chain(config.source)
-    start = 0
-    curves: dict[str, WalkCurve] = {}
-    targets: dict[str, int] = {}
-    deviations: list[dict] = []
-
-    if sink_mode:
-        target0 = farthest_node(graphs[0], start)
-        node_targets = [target0] + [conv.map.assignment[target0] for conv in convs]
-        for conv, g, tgt in zip(convs, graphs[1:], node_targets[1:]):
-            if conv.map.assignment[start] != 0:
-                raise GraphValidationError("chain start must map to the reduced corner")
-            if farthest_node(g, 0) != tgt:
-                raise GraphValidationError("reduced farthest node disagrees with the mapped target")
-        for name, g, tgt in zip(names, graphs, node_targets):
-            sink = SinkSpec(tgt, g.node_count, config.gamma)
-            curves[name] = lindblad_evolve(g, start, sink, config.grid, config.substep)
-            targets[name] = tgt
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                dev = float(
-                    np.abs(curves[names[i]].sink_series() - curves[names[j]].sink_series()).max()
-                )
-                deviations.append({"a": names[i], "b": names[j], "max_deviation": dev})
-    else:
-        conv = convs[0]
-        dev = verify_equivalence(graphs[0], start, conv, conv.map.assignment[start], config.grid)
-        curves[names[0]] = unitary_evolve(graphs[0], start, config.grid)
-        curves[names[1]] = unitary_evolve(graphs[1], conv.map.assignment[start], config.grid)
-        targets = {names[0]: farthest_node(graphs[0], start), names[1]: farthest_node(graphs[1], 0)}
-        deviations.append({"a": names[0], "b": names[1], "max_deviation": dev})
-
-    return EquivalenceOutcome(tuple(names), curves, targets, tuple(deviations))
+    target = farthest_node(graphs[0], 0)
+    maps = [None] + [conv.map for conv in convs]
+    curves, targets = {}, {}
+    for name, g, gmap in zip(names, graphs, maps):
+        s, t = (0, target) if gmap is None else (gmap.assignment[0], gmap.assignment[target])
+        if s != 0:
+            raise GraphValidationError("chain start must map to the reduced corner")
+        if farthest_node(g, 0) != t:
+            raise GraphValidationError("reduced farthest node disagrees with the mapped target")
+        if sink_mode:
+            sink = SinkSpec(t, g.node_count, config.gamma)
+            curves[name] = lindblad_evolve(g, s, sink, config.grid, config.substep)
+        else:
+            curves[name] = unitary_evolve(g, s, config.grid)
+        targets[name] = t
+    # maps lead out of the original only, and unitary chains have two members
+    deviations = tuple(
+        {"a": a, "b": b,
+         "max_deviation": _curve_deviation(curves[a], curves[b], maps[j] if i == 0 else None)}
+        for (i, a), (j, b) in combinations(enumerate(names), 2)
+    )
+    return EquivalenceOutcome(tuple(names), curves, targets, deviations)
 
 
 def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], dict]:

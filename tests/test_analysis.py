@@ -234,6 +234,21 @@ def test_verify_rejects_start_mismatch():
         verify_equivalence(build_hypercube(3), 0, conv, 2, TimeGrid(1.0, 0.5))
 
 
+def test_verify_range_checks_start():
+    for start in (9, -1):
+        with pytest.raises(GraphValidationError, match="out of range"):
+            verify_equivalence(build_cycle(6), start, cycle_to_line(6), 1, TimeGrid(1, 0.5))
+
+
+def test_verify_sink_mode_range_checks_target():
+    from qwfold.dynamics import SinkSpec
+
+    for target in (6, -1):
+        pair = (SinkSpec(target, 7, 1.0), SinkSpec(3, 4, 1.0))
+        with pytest.raises(GraphValidationError, match="out of range"):
+            verify_equivalence(build_cycle(6), 0, cycle_to_line(6), 0, TimeGrid(1, 0.5), sink_mode=pair)
+
+
 def test_verify_rejects_wrong_graph_size():
     conv = hypercube_to_line(3)
     with pytest.raises(GraphValidationError, match="map covers"):

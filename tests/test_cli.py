@@ -287,3 +287,28 @@ def test_compare_rejects_map_of_other_graph(tmp_path, capsys):
     capsys.readouterr()
     assert run(["compare", *files, "--start", "5"]) == 1
     assert "map covers 4 nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["simulate", "--tmax", "inf"], "finite"),
+     (["simulate", "--dt", "nan"], "finite"),
+     (["simulate", "--sink", "--gamma", "nan"], "finite"),
+     (["simulate", "--sink", "--gamma", "inf"], "finite"),
+     (["race", "--seed", "1", "--pairs", "2", "--gamma", "nan"], "finite"),
+     (["race", "--seed", "1", "--pairs", "2", "--tmax", "inf"], "finite")],
+    ids=["tmax-inf", "dt-nan", "sink-gamma-nan", "sink-gamma-inf", "race-gamma-nan", "race-tmax-inf"],
+)
+def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, message):
+    gpath = tmp_path / "ring.json"
+    run(["graph", "build", "--family", "cycle", "--k", "4", "--out", str(gpath)])
+    capsys.readouterr()
+    assert run([*argv, "--in", str(gpath)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_compare_family_rejects_non_finite_gamma(capsys):
+    assert run(["compare", "--family", "hypercycle", "--dim", "2", "--k", "4",
+                "--sink", "--gamma", "nan", "--tmax", "1", "--dt", "0.1"]) == 1
+    assert "finite" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from qwfold.dynamics import (
     TimeGrid,
     ThresholdConfigError,
     WalkCurve,
+    _lindblad_diagonals,
     classical_evolve,
     hitting_step,
     lindblad_evolve,
@@ -20,6 +21,7 @@ from qwfold.dynamics import (
     unitary_evolve,
 )
 from qwfold.graphs import (
+    Graph,
     GraphValidationError,
     build_cycle,
     build_hypercube,
@@ -72,6 +74,12 @@ def test_grid_rejects_non_divisible():
         TimeGrid(1.0, 2.0)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 0.1)
+
+
+@pytest.mark.parametrize("t_max,dt", [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (math.inf, math.inf)])
+def test_grid_rejects_non_finite(t_max, dt):
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(t_max, dt)
 
 
 # --- unitary ------------------------------------------------------------------
@@ -199,6 +207,38 @@ def test_sink_spec_validation():
         SinkSpec(3, 2, 1.0)
     with pytest.raises(ValueError):
         SinkSpec(0, 4, -0.5)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SinkSpec(0, 4, rate)
+
+
+def _random_weighted_graph(n, seed):
+    """Connected graph: a random spanning path plus random chords, weights in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    pairs = {tuple(sorted((int(u), int(v)))) for u, v in zip(order, order[1:])}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    return Graph(n, tuple((i, j, float(rng.uniform(0.5, 1.5))) for i, j in sorted(pairs)))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 4.0])  # gamma = 4 is K2's exceptional point
+@pytest.mark.parametrize(
+    "g,starts,targets",
+    [(K2, [0, 1, 0], [1, 0, 0]),
+     (_random_weighted_graph(5, 1), [0, 4, 2, 3], [3, 1, 2, 0]),
+     (_random_weighted_graph(6, 2), [5, 0, 1], [0, 5, 4])],
+    ids=["K2", "random5", "random6"],
+)
+def test_batch_with_per_member_targets(g, starts, targets, gamma):
+    grid = TimeGrid(2.0, 0.05)
+    a = g.adjacency_matrix()
+    batch = _lindblad_diagonals(a, starts, targets, gamma, grid, 1e-3)
+    for row, (s, t) in enumerate(zip(starts, targets)):
+        alone = lindblad_evolve(g, s, SinkSpec(t, g.node_count, gamma), grid, substep=1e-3)
+        assert np.abs(batch[row] - alone.probabilities).max() <= 1e-12
+        assert np.abs(batch[row] - superop_diagonals(a, s, t, gamma, grid.times())).max() < 1e-8
+        if gamma == 0.0:
+            assert np.all(batch[row][:, -1] == 0.0)
 
 
 # --- classical ----------------------------------------------------------------

@@ -312,6 +312,21 @@ def test_group_map_requires_surjectivity():
     GroupMap(3, 2, (0, 0, 1))  # fine
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(0, 1.7, True), (0, 1.0, 1), (0, True, 1), (0, np.float64(1.0), 1), (0, np.bool_(True), 1), (0, "1", 1)],
+)
+def test_group_map_rejects_non_integer_entries(entries):
+    with pytest.raises(GraphValidationError, match="integers"):
+        GroupMap(3, 2, entries)
+
+
+def test_group_map_accepts_numpy_integers():
+    m = GroupMap(3, 2, (np.int64(0), np.int32(1), 1))
+    assert m.assignment == (0, 1, 1)
+    assert all(type(a) is int for a in m.assignment)
+
+
 # --- serialization ----------------------------------------------------------
 
 

@@ -171,6 +171,9 @@ def test_config_validation():
         ExperimentConfig(source=GraphFamilySpec("cycle", k=6), seed=1, pair_count=0)
     with pytest.raises(ValueError):
         ExperimentConfig(source=GraphFamilySpec("cycle", k=6), seed=1, gamma=-1.0)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(source=GraphFamilySpec("cycle", k=6), seed=1, gamma=gamma)
 
 
 # --- equivalence experiments ----------------------------------------------------------
