@@ -29,6 +29,7 @@ from .dynamics import (
     classical_evolve,
     hitting_step,
     lindblad_evolve,
+    sink_evolve,
     transition_matrix,
     unitary_evolve,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolve import ConvolutionResult
-from .dynamics import SinkSpec, TimeGrid, WalkCurve, lindblad_evolve, unitary_evolve, unitary_probabilities
+from .dynamics import SinkSpec, TimeGrid, WalkCurve, sink_evolve, unitary_evolve, unitary_probabilities
 from .graphs import Graph, GraphValidationError, GroupMap, bfs_distances
 
 JACOBI_TOL = 1e-11
@@ -201,7 +201,9 @@ def verify_equivalence(
     summed probability of its preimage against the reduced node's own
     probability; returns the max over nodes and sample times.  With a sink
     pair (original, reduced): run both sink-detected walks with the shared
-    rate and compare the sink populations.
+    rate and compare the sink populations.  The walks are propagated exactly
+    (dynamics.sink_evolve), so ``substep``, an RK4 step, changes no output;
+    it stays accepted for callers written for the RK4 integrator.
     """
     gmap = result.map
     n = g_orig.node_count
@@ -227,8 +229,8 @@ def verify_equivalence(
                 f"map sends target {sink_orig.target} to {gmap.assignment[sink_orig.target]}, "
                 f"not to the reduced target {sink_red.target}"
             )
-        orig = lindblad_evolve(g_orig, start_orig, sink_orig, grid, substep)
-        red = lindblad_evolve(result.reduced, start_reduced, sink_red, grid, substep)
+        orig = sink_evolve(g_orig, start_orig, sink_orig, grid)
+        red = sink_evolve(result.reduced, start_reduced, sink_red, grid)
     return _curve_deviation(orig, red, gmap)
 
 

@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
         grid = _grid(args, default_dt=0.01)
         target = args.target if args.target is not None else harness.farthest_node(g, start)
         sink = dynamics.SinkSpec(target, g.node_count, args.gamma)
-        curve = dynamics.lindblad_evolve(g, start, sink, grid)
+        curve = dynamics.sink_evolve(g, start, sink, grid)
     elif args.kind == "classical":
         curve = dynamics.classical_evolve(g, start, _grid(args))
     else:
@@ -123,9 +123,7 @@ def _cmd_compare(args) -> int:
     if args.family:
         spec = _family_spec(args)
         grid = _grid(args, default_dt=0.01 if args.family in ("hypercycle", "weighted_lattice") else 0.05)
-        config = harness.ExperimentConfig(
-            source=spec, seed=0, grid=grid, gamma=args.gamma, substep=min(grid.dt, 0.01)
-        )
+        config = harness.ExperimentConfig(source=spec, seed=0, grid=grid, gamma=args.gamma)
         outcome = harness.run_equivalence_experiment(config)
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -7,6 +7,12 @@ target via a single collapse operator |sink><target| with rate gamma.  The
 graph block then evolves under H_eff = A - i*gamma/2*|target><target| (the
 no-jump picture of Caruso et al., J. Chem. Phys. 131, 105106, 2009):
 d(rho)/dt = -i(H_eff rho - rho H_eff^dagger) + gamma*rho_tt*|sink><sink|.
+Nothing flows back out of the sink, so the graph block stays the pure state
+psi(t) = exp(-i*H_eff*t)|start> and the sink holds 1 - |psi(t)|^2.  Every
+production sink walk (sink_evolve, races, reduction chains) propagates that
+state exactly, one scaling-and-squaring exponential per walk (Moler & Van
+Loan, SIAM Rev. 45, 3, 2003); lindblad_evolve integrates the full master
+equation with RK4 and is kept as the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ import numpy as np
 
 from .graphs import Graph, GraphValidationError, write_text
 
-DEFAULT_SUBSTEP = 1e-3
+DEFAULT_SUBSTEP = 1e-3  # lindblad_evolve's RK4 step; the exact propagator has none
+
+# exp(Y) - I is summed to this Taylor degree once |Y|_1 <= 1/2; the first
+# omitted term is below 0.5**17 / 17! < 3e-20.
+_TAYLOR_THETA = 0.5
+_TAYLOR_DEGREE = 16
 
 
 class EigendecompositionError(RuntimeError):
@@ -37,7 +48,7 @@ class ThresholdConfigError(ValueError):
     """Hitting threshold is not a usable probability level."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeGrid:
     """Uniform sample times 0, dt, 2*dt, ..., t_max."""
 
@@ -50,6 +61,8 @@ class TimeGrid:
         if self.dt > self.t_max:
             raise ValueError(f"dt={self.dt} exceeds t_max={self.t_max}")
         ratio = self.t_max / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_max/dt = {self.t_max}/{self.dt} overflows; not a finite sample count")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError(f"t_max/dt = {ratio} is not an integer")
 
@@ -76,7 +89,7 @@ class SinkSpec:
             raise ValueError("sink must be the appended node (target < sink)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdPolicy:
     """Hitting threshold 1/log(n) with a configurable logarithm base."""
 
@@ -162,6 +175,16 @@ class WalkCurve:
 def _check_start(g: Graph, start: int) -> None:
     if not 0 <= start < g.node_count:
         raise GraphValidationError(f"start node {start} out of range")
+
+
+def _check_sink_walk(g: Graph, start: int, sink: SinkSpec) -> None:
+    _check_start(g, start)
+    if not 0 <= sink.target < g.node_count:
+        raise GraphValidationError(f"sink target {sink.target} out of range")
+    if sink.sink != g.node_count:
+        raise GraphValidationError(
+            f"sink node must be appended as node {g.node_count}, got {sink.sink}"
+        )
 
 
 def _symmetric_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +287,93 @@ def _lindblad_diagonals(
     return out
 
 
+def _expm_minus_identity(x: np.ndarray) -> np.ndarray:
+    """exp(X) - I for each matrix of a stack, by scaling and squaring.
+
+    Each member is scaled by its own power of two to a 1-norm of at most
+    1/2, summed as a Taylor series and squared back up (Moler & Van Loan,
+    SIAM Rev. 45, 3, 2003).  The squaring runs on F = exp(Y) - I as
+    F <- 2F + F^2, so the part of exp(Y) near the identity keeps its relative
+    precision instead of rounding against the 1 on the diagonal; a large sink
+    rate needs many squarings, and that rounding would grow with each one.
+    """
+    norms = np.abs(x).sum(axis=-2).max(axis=-1)
+    squarings = np.maximum(np.frexp(norms / _TAYLOR_THETA)[1], 0)
+    y = x * (0.5 ** squarings)[:, np.newaxis, np.newaxis]
+    term = f = y
+    for k in range(2, _TAYLOR_DEGREE + 1):
+        term = term @ y / k
+        f = f + term
+    for level in range(squarings.max()):
+        r = squarings > level
+        f[r] = f[r] + f[r] + f[r] @ f[r]
+    return f
+
+
+def _sink_diagonals(
+    a_sys: np.ndarray,
+    starts,
+    targets,
+    gamma: float,
+    grid: TimeGrid,
+) -> np.ndarray:
+    """Propagate a batch of sink-detected walks exactly, sample to sample.
+
+    Same contract as _lindblad_diagonals: targets is a single node index or
+    one per start; returns real diagonals with shape (len(starts), samples,
+    n+1), sink population last.  Each member's graph block is the pure state
+    psi, stepped by its own U = exp(-i*dt*H_eff) with
+    H_eff = A - i*gamma/2*|target><target|; the sink holds 1 - |psi|^2.
+    Positivity and trace hold by construction, so the guards are a finite
+    result and a norm |psi|^2 that never grows by more than 1e-12 between
+    samples (a contraction cannot grow it).
+    """
+    n = a_sys.shape[0]
+    b = len(starts)
+    rows = np.arange(b)
+    targets = np.broadcast_to(np.asarray(targets, dtype=int), (b,))
+    h_eff = np.repeat(a_sys[np.newaxis].astype(complex), b, axis=0)
+    h_eff[rows, targets, targets] -= 0.5j * gamma
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as non-finite
+        step = np.eye(n) + _expm_minus_identity(-1j * grid.dt * h_eff)
+
+    out = np.zeros((b, grid.sample_count, n + 1))
+    out[rows, 0, starts] = 1.0
+    psi = out[:, 0, :n, np.newaxis].astype(complex)
+    for s_idx in range(1, grid.sample_count):
+        psi = step @ psi
+        out[:, s_idx, :n] = (psi.real**2 + psi.imag**2)[..., 0]
+    norms = out[..., :n].sum(axis=2)
+    out[..., n] = 1.0 - norms if gamma else 0.0
+    if not np.isfinite(out).all():
+        raise NumericalFailureError(
+            f"sink propagation at rate {gamma:g} and step {grid.dt:g} produced non-finite values"
+        )
+    growth = np.diff(norms, axis=1).max()
+    if growth > 1e-12:
+        raise NumericalFailureError(
+            f"graph-block norm grew by {growth:.3e} between samples (> 1e-12)"
+        )
+    return out
+
+
+def sink_evolve(g: Graph, start: int, sink: SinkSpec, grid: TimeGrid) -> WalkCurve:
+    """Sink-detected walk, propagated exactly in the no-jump picture.
+
+    With one collapse operator |sink><target| the graph block stays pure:
+    psi(t) = exp(-i*H_eff*t)|start> with H_eff = A - i*rate/2*|target><target|,
+    and the sink population is 1 - |psi(t)|^2 (Caruso et al., J. Chem. Phys.
+    131, 105106, 2009).  One propagator exp(-i*H_eff*grid.dt), by scaling
+    and squaring (Moler & Van Loan, SIAM Rev. 45, 3, 2003), steps the state
+    from sample to sample, so there is no integration step to choose.  The
+    curve has the same layout as lindblad_evolve's: the sink is appended as
+    node n and is the last column.
+    """
+    _check_sink_walk(g, start, sink)
+    diags = _sink_diagonals(g.adjacency_matrix(), [start], sink.target, sink.rate, grid)
+    return WalkCurve(grid, diags[0], "lindblad")
+
+
 def lindblad_evolve(
     g: Graph,
     start: int,
@@ -273,7 +383,9 @@ def lindblad_evolve(
 ) -> WalkCurve:
     """Sink-detected walk: master equation integrated by fixed-step RK4.
 
-    The sink is appended as node n, coupled to the graph only through the
+    The reference integrator that the tests hold sink_evolve to; every
+    production path uses sink_evolve, which has no integration error.  The
+    sink is appended as node n, coupled to the graph only through the
     collapse operator; the curve's last column is the sink population.  The
     right-hand side is -i(H_eff rho - rho H_eff^dagger) with
     H_eff = A - i*rate/2*|target><target|, plus rate*rho_tt fed into the
@@ -282,13 +394,7 @@ def lindblad_evolve(
     ``substep``; trace drift beyond 1e-8 or a negative eigenvalue beyond
     -1e-6 abort the run.
     """
-    _check_start(g, start)
-    if not 0 <= sink.target < g.node_count:
-        raise GraphValidationError(f"sink target {sink.target} out of range")
-    if sink.sink != g.node_count:
-        raise GraphValidationError(
-            f"sink node must be appended as node {g.node_count}, got {sink.sink}"
-        )
+    _check_sink_walk(g, start, sink)
     diags = _lindblad_diagonals(g.adjacency_matrix(), [start], sink.target, sink.rate, grid, substep)
     return WalkCurve(grid, diags[0], "lindblad")
 

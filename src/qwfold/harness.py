@@ -27,10 +27,10 @@ from .dynamics import (
     ThresholdPolicy,
     TimeGrid,
     WalkCurve,
-    _lindblad_diagonals,
+    _sink_diagonals,
     classical_evolve,
     hitting_step,
-    lindblad_evolve,
+    sink_evolve,
     unitary_evolve,
 )
 from .graphs import Graph, GraphFamilySpec, GraphValidationError, bfs_distances, load_graph, write_text
@@ -99,7 +99,7 @@ def sample_pairs(node_count: int, pair_count: int, seed: int) -> list[tuple[int,
     return [decode(idx) for idx in chosen]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HittingRecord:
     """One race: step indices (None = never crossed) and the resulting winner."""
 
@@ -126,16 +126,16 @@ class HittingRecord:
         return "tie"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Inputs of a race or equivalence experiment.
 
     source   : graph family parameters, or a path to a graph document
     seed     : mandatory 64-bit seed for pair sampling
-    substep  : internal RK4 step for the sink-detected runs.  Races default
-               to 0.005 (curve error ~5e-8, far below the hitting threshold,
-               and an order of magnitude inside the positivity guard);
-               equivalence reproductions pass 1e-3 explicitly.
+    substep  : RK4-only; changes no output.  Sink-detected runs are
+               propagated exactly (dynamics.sink_evolve), with no integration
+               step; the field stays so that configurations written for the
+               RK4 integrator still construct.
     """
 
     source: GraphFamilySpec | str
@@ -250,7 +250,7 @@ def run_equivalence_experiment(config: ExperimentConfig) -> EquivalenceOutcome:
             raise GraphValidationError("reduced farthest node disagrees with the mapped target")
         if sink_mode:
             sink = SinkSpec(t, g.node_count, config.gamma)
-            curves[name] = lindblad_evolve(g, s, sink, config.grid, config.substep)
+            curves[name] = sink_evolve(g, s, sink, config.grid)
         else:
             curves[name] = unitary_evolve(g, s, config.grid)
         targets[name] = t
@@ -281,21 +281,20 @@ def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], di
 
     dist_rows = {src: bfs_distances(g, src) for src in {s for s, _ in pairs}}
 
-    # classical curves depend only on the source; quantum runs integrate in
-    # cache-sized batches with per-pair sink targets
+    # classical curves depend only on the source; quantum runs propagate in
+    # batches of eight with per-pair sink targets
     classical_curves = {src: classical_evolve(g, src, config.grid) for src in dist_rows}
     adjacency = g.adjacency_matrix()
     quantum_steps_by_pair: dict[int, int | None] = {}
     chunk = 8
     for lo in range(0, len(pairs), chunk):
         block = pairs[lo : lo + chunk]
-        diags = _lindblad_diagonals(
+        diags = _sink_diagonals(
             adjacency,
             [src for src, _ in block],
             [tgt for _, tgt in block],
             config.gamma,
             config.grid,
-            config.substep,
         )
         for row in range(len(block)):
             curve = WalkCurve(config.grid, diags[row], "lindblad")

@@ -308,6 +308,16 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_simulate_rejects_overflowing_sample_count(tmp_path, capsys):
+    # finite t_max and dt whose ratio overflows to infinity
+    gpath = tmp_path / "ring.json"
+    run(["graph", "build", "--family", "cycle", "--k", "4", "--out", str(gpath)])
+    capsys.readouterr()
+    assert run(["simulate", "--in", str(gpath), "--tmax", "1e300", "--dt", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+
+
 def test_compare_family_rejects_non_finite_gamma(capsys):
     assert run(["compare", "--family", "hypercycle", "--dim", "2", "--k", "4",
                 "--sink", "--gamma", "nan", "--tmax", "1", "--dt", "0.1"]) == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qwfold.dynamics import (
@@ -14,11 +16,14 @@ from qwfold.dynamics import (
     ThresholdConfigError,
     WalkCurve,
     _lindblad_diagonals,
+    _sink_diagonals,
     classical_evolve,
     hitting_step,
     lindblad_evolve,
+    sink_evolve,
     transition_matrix,
     unitary_evolve,
+    unitary_probabilities,
 )
 from qwfold.graphs import (
     Graph,
@@ -80,6 +85,12 @@ def test_grid_rejects_non_divisible():
 def test_grid_rejects_non_finite(t_max, dt):
     with pytest.raises(ValueError, match="finite"):
         TimeGrid(t_max, dt)
+
+
+def test_grid_rejects_overflowing_sample_count():
+    # both finite, but t_max / dt overflows to infinity
+    with pytest.raises(ValueError, match="finite"):
+        TimeGrid(1e300, 1e-300)
 
 
 # --- unitary ------------------------------------------------------------------
@@ -230,15 +241,65 @@ def _random_weighted_graph(n, seed):
     ids=["K2", "random5", "random6"],
 )
 def test_batch_with_per_member_targets(g, starts, targets, gamma):
+    # both sink kernels: the RK4 reference integrator and the exact propagator
     grid = TimeGrid(2.0, 0.05)
     a = g.adjacency_matrix()
     batch = _lindblad_diagonals(a, starts, targets, gamma, grid, 1e-3)
+    exact = _sink_diagonals(a, starts, targets, gamma, grid)
     for row, (s, t) in enumerate(zip(starts, targets)):
-        alone = lindblad_evolve(g, s, SinkSpec(t, g.node_count, gamma), grid, substep=1e-3)
+        sink = SinkSpec(t, g.node_count, gamma)
+        oracle = superop_diagonals(a, s, t, gamma, grid.times())
+        alone = lindblad_evolve(g, s, sink, grid, substep=1e-3)
         assert np.abs(batch[row] - alone.probabilities).max() <= 1e-12
-        assert np.abs(batch[row] - superop_diagonals(a, s, t, gamma, grid.times())).max() < 1e-8
+        assert np.abs(batch[row] - oracle).max() < 1e-8
+        assert np.array_equal(exact[row], sink_evolve(g, s, sink, grid).probabilities)
+        assert np.abs(exact[row] - oracle).max() < 1e-10
+        assert np.abs(exact[row] - alone.probabilities).max() < 1e-8
         if gamma == 0.0:
             assert np.all(batch[row][:, -1] == 0.0)
+            assert np.all(exact[row][:, -1] == 0.0)
+
+
+@st.composite
+def weighted_walks(draw):
+    """Connected weighted graph on 2-7 nodes (a path plus chords), start and target."""
+    n = draw(st.integers(2, 7))
+    weight = st.floats(0.05, 5.0, allow_nan=False, allow_infinity=False)
+    order = draw(st.permutations(range(n)))
+    pairs = {tuple(sorted(p)) for p in zip(order, order[1:])}
+    pairs |= set(draw(st.lists(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]))))
+    g = Graph(n, tuple((i, j, draw(weight)) for i, j in sorted(pairs)))
+    return g, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_walks())
+def test_sink_propagator_properties_on_random_graphs(case):
+    g, start, target = case
+    grid = TimeGrid(6.0, 0.1)
+    closed = sink_evolve(g, start, SinkSpec(target, g.node_count, 0.0), grid)
+    np.testing.assert_allclose(
+        closed.probabilities[:, :-1], unitary_probabilities(g, start, grid.times()), atol=1e-10
+    )
+    assert np.all(closed.sink_series() == 0.0)
+    for gamma in (1.0, 100.0, 1e8):
+        curve = sink_evolve(g, start, SinkSpec(target, g.node_count, gamma), grid)
+        assert np.diff(curve.sink_series()).min() >= -1e-12
+        np.testing.assert_allclose(curve.probabilities.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("g", [K2, build_cycle(6), build_hypercycle(2, 6)], ids=["K2", "ring6", "torus"])
+@pytest.mark.parametrize("rate,grid", [(1e300, TimeGrid(20.0, 0.1)), (1e308, TimeGrid(100.0, 10.0))],
+                         ids=["squarings", "overflow"])
+def test_sink_propagator_at_extreme_rate_is_finite_or_fails_loudly(g, rate, grid):
+    # rate*dt/2 = 5e298 takes about a thousand squarings; 5e308 overflows.
+    # Either way a NaN must never escape.
+    try:
+        curve = sink_evolve(g, 0, SinkSpec(1, g.node_count, rate), grid)
+    except NumericalFailureError:
+        return
+    assert np.all(np.isfinite(curve.probabilities))
+    assert np.diff(curve.sink_series()).min() >= -1e-12
 
 
 # --- classical ----------------------------------------------------------------
