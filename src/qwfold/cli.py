@@ -108,8 +108,11 @@ def _cmd_simulate(args) -> int:
     start = args.start
     if args.sink or args.kind == "lindblad":
         grid = _grid(args, default_dt=0.01)
+        n = g.node_count
+        if args.target is not None and not 0 <= args.target < n:
+            raise GraphValidationError(f"--target {args.target} out of range: the graph has nodes 0..{n - 1}")
         target = args.target if args.target is not None else harness.farthest_node(g, start)
-        sink = dynamics.SinkSpec(target, g.node_count, args.gamma)
+        sink = dynamics.SinkSpec(target, n, args.gamma)
         curve = dynamics.sink_evolve(g, start, sink, grid)
     elif args.kind == "classical":
         curve = dynamics.classical_evolve(g, start, _grid(args))
@@ -322,6 +325,9 @@ def cli_dispatch(argv) -> int:
         return args.handler(args)
     except (GraphValidationError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

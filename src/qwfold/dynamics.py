@@ -10,9 +10,13 @@ d(rho)/dt = -i(H_eff rho - rho H_eff^dagger) + gamma*rho_tt*|sink><sink|.
 Nothing flows back out of the sink, so the graph block stays the pure state
 psi(t) = exp(-i*H_eff*t)|start> and the sink holds 1 - |psi(t)|^2.  Every
 production sink walk (sink_evolve, races, reduction chains) propagates that
-state exactly, one scaling-and-squaring exponential per walk (Moler & Van
-Loan, SIAM Rev. 45, 3, 2003); lindblad_evolve integrates the full master
-equation with RK4 and is kept as the reference the tests hold it to.
+state exactly, one scaling-and-squaring exponential per distinct sink target
+(Moler & Van Loan, SIAM Rev. 45, 3, 2003); lindblad_evolve integrates the
+full master equation with RK4 and is kept as the reference the tests hold it
+to.  Hitting races on rings, hypercycles and hypercubes translate every race
+onto the sink at node 0: these graphs are Cayley graphs of Z_k^D, whose
+translations are automorphisms, so a translated race is the same walk, and
+a whole race batch needs one exponential.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ DEFAULT_SUBSTEP = 1e-3  # lindblad_evolve's RK4 step; the exact propagator has n
 # omitted term is below 0.5**17 / 17! < 3e-20.
 _TAYLOR_THETA = 0.5
 _TAYLOR_DEGREE = 16
+
+# _sink_diagonals exponentiates at most this many distinct targets at once,
+# and _propagate keeps about this many bytes of amplitude history: a few
+# samples' worth, so the per-sample reduction to |psi|^2 is amortized while
+# the transient memory stays below that of the output.
+_TARGETS_PER_EXPM = 8
+_HISTORY_BYTES = 1 << 18
 
 
 class EigendecompositionError(RuntimeError):
@@ -129,19 +140,13 @@ class WalkCurve:
     def __post_init__(self):
         if self.kind not in ("unitary", "lindblad", "classical"):
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        probs = np.asarray(self.probabilities, dtype=float)
+        probs = np.array(self.probabilities, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != self.grid.sample_count:
             raise ValueError(
                 f"probabilities shape {probs.shape} does not match "
                 f"{self.grid.sample_count} sample times"
             )
-        row_sums = probs.sum(axis=1)
-        bad = np.argmax(np.abs(row_sums - 1.0))
-        if abs(row_sums[bad] - 1.0) > 1e-6:
-            raise ValueError(
-                f"row {bad} sums to {row_sums[bad]!r}, not 1 within 1e-6"
-            )
-        probs = np.clip(probs, -1e-9, 1.0 + 1e-9)
+        _clamp_rows(probs)
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
@@ -170,6 +175,17 @@ class WalkCurve:
         for t, row in zip(self.grid.times(), self.probabilities):
             lines.append(",".join(f"{x:.12g}" for x in [t, *row]))
         write_text("\n".join(lines) + "\n", destination)
+
+
+def _clamp_rows(probs: np.ndarray) -> None:
+    """Check that probability rows (last axis) sum to 1 within 1e-6, then
+    clamp them to [-1e-9, 1 + 1e-9] in place; leading axes are a batch."""
+    sums = probs.sum(axis=-1)
+    bad = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
+    if abs(sums[bad] - 1.0) > 1e-6:
+        where = ", ".join(str(int(i)) for i in bad)
+        raise ValueError(f"row {where} sums to {sums[bad]!r}, not 1 within 1e-6")
+    np.clip(probs, -1e-9, 1.0 + 1e-9, out=probs)
 
 
 def _check_start(g: Graph, start: int) -> None:
@@ -322,27 +338,35 @@ def _sink_diagonals(
     Same contract as _lindblad_diagonals: targets is a single node index or
     one per start; returns real diagonals with shape (len(starts), samples,
     n+1), sink population last.  Each member's graph block is the pure state
-    psi, stepped by its own U = exp(-i*dt*H_eff) with
-    H_eff = A - i*gamma/2*|target><target|; the sink holds 1 - |psi|^2.
-    Positivity and trace hold by construction, so the guards are a finite
-    result and a norm |psi|^2 that never grows by more than 1e-12 between
-    samples (a contraction cannot grow it).
+    psi, stepped by U = exp(-i*dt*H_eff) with H_eff = A - i*gamma/2*|t><t|;
+    the sink holds 1 - |psi|^2.  U depends only on the target, so it is
+    formed once per distinct target (_TARGETS_PER_EXPM at a time), and all
+    members on those targets are stepped together, one batched product per
+    sample (_propagate).  A race batch on a translation-invariant graph has
+    every member on one target (harness.run_hitting_races), so it needs one
+    exponential and one stepping loop.  Positivity and trace hold by
+    construction, so the guards are a finite result and a norm |psi|^2 that
+    never grows by more than 1e-12 between samples (a contraction cannot
+    grow it).
     """
     n = a_sys.shape[0]
-    b = len(starts)
-    rows = np.arange(b)
-    targets = np.broadcast_to(np.asarray(targets, dtype=int), (b,))
-    h_eff = np.repeat(a_sys[np.newaxis].astype(complex), b, axis=0)
-    h_eff[rows, targets, targets] -= 0.5j * gamma
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as non-finite
-        step = np.eye(n) + _expm_minus_identity(-1j * grid.dt * h_eff)
+    starts = np.asarray(starts, dtype=int)
+    targets = np.broadcast_to(np.asarray(targets, dtype=int), starts.shape)
+    out = np.zeros((len(starts), grid.sample_count, n + 1))
+    distinct = sorted(set(targets.tolist()))
+    for lo in range(0, len(distinct), _TARGETS_PER_EXPM):
+        sinks = distinct[lo : lo + _TARGETS_PER_EXPM]
+        h_eff = np.repeat(a_sys[np.newaxis].astype(complex), len(sinks), axis=0)
+        h_eff[np.arange(len(sinks)), sinks, sinks] -= 0.5j * gamma
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below as non-finite
+            step = np.eye(n) + _expm_minus_identity(-1j * grid.dt * h_eff)
+        # members[i, j]: the j-th batch member with target sinks[i]; -1 pads
+        groups = [np.flatnonzero(targets == t) for t in sinks]
+        members = np.full((len(groups), max(map(len, groups))), -1)
+        for i, group in enumerate(groups):
+            members[i, : len(group)] = group
+        _propagate(step, starts, members, out)
 
-    out = np.zeros((b, grid.sample_count, n + 1))
-    out[rows, 0, starts] = 1.0
-    psi = out[:, 0, :n, np.newaxis].astype(complex)
-    for s_idx in range(1, grid.sample_count):
-        psi = step @ psi
-        out[:, s_idx, :n] = (psi.real**2 + psi.imag**2)[..., 0]
     norms = out[..., :n].sum(axis=2)
     out[..., n] = 1.0 - norms if gamma else 0.0
     if not np.isfinite(out).all():
@@ -355,6 +379,37 @@ def _sink_diagonals(
             f"graph-block norm grew by {growth:.3e} between samples (> 1e-12)"
         )
     return out
+
+
+def _propagate(step: np.ndarray, starts: np.ndarray, members: np.ndarray, out: np.ndarray) -> None:
+    """Step one block of _sink_diagonals and write its |psi|^2 into out.
+
+    step[i] propagates the batch members in row i of members (-1 entries
+    are padding), each started at its own node.  One matmul per sample steps
+    the whole block into a preallocated history, step[i] broadcast over its
+    row; |psi|^2 is taken once per span of samples that fits in
+    _HISTORY_BYTES.  Each member is its own matrix-vector product, because a
+    matrix-matrix product rounds a column differently depending on its
+    neighbours, and a member must come out bit for bit the same in any batch
+    as alone (sink_evolve).
+    """
+    samples, n = out.shape[1], step.shape[1]
+    used = members >= 0
+    row, col = np.nonzero(used)
+    batch = members[used]
+    out[batch, 0, starts[batch]] = 1.0
+    psi = np.zeros((*members.shape, n, 1), dtype=complex)
+    psi[row, col, starts[batch], 0] = 1.0
+    span = min(max(1, _HISTORY_BYTES // psi.nbytes), samples - 1)
+    history = np.empty((span, *psi.shape), dtype=complex)
+    step = step[:, np.newaxis]
+    for lo in range(1, samples, span):
+        chunk = history[: samples - lo]
+        for j in range(len(chunk)):
+            np.matmul(step, chunk[j - 1] if j else psi, out=chunk[j])
+        psi = chunk[-1].copy()
+        prob = (chunk.real**2 + chunk.imag**2)[..., 0]
+        out[batch, lo : lo + len(chunk), :n] = prob.transpose(1, 2, 0, 3)[row, col]
 
 
 def sink_evolve(g: Graph, start: int, sink: SinkSpec, grid: TimeGrid) -> WalkCurve:
@@ -409,14 +464,16 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return t
 
 
-def classical_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
-    """Classical continuous-time walk p(t) = exp((T - I) t) p(0).
+def classical_probabilities(g: Graph, starts, times) -> np.ndarray:
+    """Classical walk distributions exp((T - I) t) e_start for several starts.
 
-    exp(T t) is evaluated through the symmetrized similarity transform
-    D^{-1/2} W D^{-1/2} of the weight matrix, which shares T's spectrum and is
-    exactly diagonalizable as a real symmetric matrix.
+    Returns shape (len(starts), len(times), n).  exp(T t) is evaluated
+    through the symmetrized similarity transform D^{-1/2} W D^{-1/2} of the
+    weight matrix, which shares T's spectrum and is exactly diagonalizable
+    as a real symmetric matrix; one eigendecomposition serves every start.
     """
-    _check_start(g, start)
+    for start in starts:
+        _check_start(g, start)
     strengths = g.strengths()
     if np.any(strengths == 0):
         raise GraphValidationError("graph has an isolated node")
@@ -424,11 +481,14 @@ def classical_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
     sym = g.adjacency_matrix() / np.outer(root, root)
     vals, vecs = _symmetric_eigh(sym)
     # p(t) = e^{-t} D^{1/2} V e^{vals t} V^T D^{-1/2} e_start
-    v0 = vecs[start, :] / root[start]
-    times = grid.times()
-    modes = np.exp(np.outer(times, vals - 1.0)) * v0
-    probs = (modes @ vecs.T) * root
-    return WalkCurve(grid, probs, "classical")
+    v0 = vecs[starts, :] / root[starts, np.newaxis]
+    modes = np.exp(np.outer(times, vals - 1.0)) * v0[:, np.newaxis, :]
+    return (modes @ vecs.T) * root
+
+
+def classical_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
+    """Classical continuous-time walk p(t) = exp((T - I) t) p(0)."""
+    return WalkCurve(grid, classical_probabilities(g, [start], grid.times())[0], "classical")
 
 
 def hitting_step(

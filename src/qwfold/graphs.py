@@ -324,6 +324,58 @@ def graph_distance(g: Graph, u: int, v: int) -> int | None:
     return bfs_distances(g, u)[v]
 
 
+@dataclass(frozen=True)
+class TranslationGroup:
+    """The translations of Z_k^D acting on the k^D nodes of a graph.
+
+    Node u carries the coordinates of u written in base k with dim digits
+    (row-major); translations add coordinates componentwise mod k.
+    """
+
+    k: int
+    dim: int
+
+    def difference(self, u: int, v: int) -> int:
+        """The node whose coordinates are those of u minus those of v (mod k)."""
+        out, place = 0, 1
+        for _ in range(self.dim):
+            out += (u // place - v // place) % self.k * place
+            place *= self.k
+        return out
+
+
+def translation_group(g: Graph) -> TranslationGroup | None:
+    """The group Z_k^D of translations of g, if they are automorphisms.
+
+    That holds when the labels are the k^D points of Z_k^D in row-major node
+    order and a unit shift along every axis maps each edge onto an edge of
+    the same weight; g is then a Cayley graph of Z_k^D.  Rings, toruses and
+    higher hypercycles (Cartesian powers of the k-ring) and hypercubes
+    (k = 2, where a shift is an XOR) qualify.  Returns None for anything else,
+    such as unlabelled graphs, lines and lattices with open boundaries, or
+    uneven weights.
+    """
+    if g.labels is None:
+        return None
+    dim = len(g.labels[0])
+    if dim == 0 or any(len(lab) != dim for lab in g.labels):
+        return None
+    k = max(max(lab) for lab in g.labels) + 1
+    if k < 2 or k**dim != g.node_count:
+        return None
+    places = [k ** (dim - 1 - axis) for axis in range(dim)]
+    if any(lab != tuple(u // p % k for p in places) for u, lab in enumerate(g.labels)):
+        return None
+    weights = {(i, j): w for i, j, w in g.edges}
+    for p in places:
+        # unit shift along the axis with place value p, wrapping k - 1 to 0
+        moved = [(i + p if i // p % k < k - 1 else i - (k - 1) * p,
+                  j + p if j // p % k < k - 1 else j - (k - 1) * p, w) for i, j, w in g.edges]
+        if any(weights.get((min(a, b), max(a, b))) != w for a, b, w in moved):
+            return None
+    return TranslationGroup(k, dim)
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs unweighted distances; unreachable pairs become -1."""
     out = np.full((g.node_count, g.node_count), -1, dtype=int)

@@ -26,16 +26,28 @@ from .dynamics import (
     SinkSpec,
     ThresholdPolicy,
     TimeGrid,
-    WalkCurve,
+    _clamp_rows,
     _sink_diagonals,
-    classical_evolve,
-    hitting_step,
+    classical_probabilities,
     sink_evolve,
     unitary_evolve,
 )
-from .graphs import Graph, GraphFamilySpec, GraphValidationError, bfs_distances, load_graph, write_text
+from .graphs import (
+    Graph,
+    GraphFamilySpec,
+    GraphValidationError,
+    bfs_distances,
+    load_graph,
+    translation_group,
+    write_text,
+)
 
 RACE_CSV_HEADER = "pair,source,target,d,classical_steps,quantum_steps,winner"
+
+# run_hitting_races hands the sink kernel at most this many bytes of output
+# per call; every distinct walk of a race on the 36-node torus (at most 35)
+# or on its 16-node lattice (at most 240) fits in one call.
+_RACE_BATCH_BYTES = 1 << 24
 
 
 class SplitMix64:
@@ -143,7 +155,7 @@ class ExperimentConfig:
     pair_count: int = 300
     grid: TimeGrid = field(default_factory=lambda: TimeGrid(20.0, 0.1))
     gamma: float = 1.0
-    threshold: ThresholdPolicy = field(default_factory=ThresholdPolicy)
+    threshold: ThresholdPolicy = ThresholdPolicy()  # immutable, so one instance serves every config
     substep: float = 0.005
 
     def __post_init__(self):
@@ -271,51 +283,50 @@ def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], di
     1/log(n) with n the graph's node count (the sink is detection apparatus,
     not a graph node).  Failure to cross within the grid horizon loses to any
     success.
+
+    Each distinct walk runs once.  When the graph is a Cayley graph of
+    Z_k^D (graphs.translation_group: rings, hypercycles, hypercubes), every
+    translation is an automorphism and carries a walk onto an identical one,
+    so race (s, t) is run as the quantum walk from s - t to the sink at 0 and
+    the classical walk from 0 watched at t - s, at edge distance d(0, t - s).
+    All quantum walks then share one sink target, hence one propagator, and
+    one classical start.  Other graphs run each distinct pair as sampled.
+    Either way the classical walks share one eigendecomposition.
     """
     g = config.resolve_graph()
-    if not g.is_connected():
+    from_corner = bfs_distances(g, 0)
+    if None in from_corner:
         raise GraphValidationError("hitting races need a connected graph")
     n = g.node_count
     threshold = config.threshold.value(n)  # config errors surface before any run
     pairs = sample_pairs(n, config.pair_count, config.seed)
 
-    dist_rows = {src: bfs_distances(g, src) for src in {s for s, _ in pairs}}
-
-    # classical curves depend only on the source; quantum runs propagate in
-    # batches of eight with per-pair sink targets
-    classical_curves = {src: classical_evolve(g, src, config.grid) for src in dist_rows}
-    adjacency = g.adjacency_matrix()
-    quantum_steps_by_pair: dict[int, int | None] = {}
-    chunk = 8
-    for lo in range(0, len(pairs), chunk):
-        block = pairs[lo : lo + chunk]
-        diags = _sink_diagonals(
-            adjacency,
-            [src for src, _ in block],
-            [tgt for _, tgt in block],
-            config.gamma,
-            config.grid,
-        )
-        for row in range(len(block)):
-            curve = WalkCurve(config.grid, diags[row], "lindblad")
-            quantum_steps_by_pair[lo + row] = hitting_step(curve, n, config.threshold, n)
+    shifts = translation_group(g)
+    if shifts is None:
+        quantum = classical = pairs
+        rows = {src: bfs_distances(g, src) for src in {s for s, _ in pairs}}
+        distances = [rows[s][t] for s, t in pairs]
+    else:
+        quantum = [(shifts.difference(s, t), 0) for s, t in pairs]
+        classical = [(0, shifts.difference(t, s)) for s, t in pairs]
+        distances = [from_corner[watch] for _, watch in classical]
+    quantum_steps = _quantum_crossings(g, set(quantum), config.gamma, config.grid, threshold)
+    classical_steps = _classical_crossings(g, set(classical), config.grid, threshold)
 
     records = []
-    for idx, (src, tgt) in enumerate(pairs):
-        c_steps = hitting_step(classical_curves[src], tgt, config.threshold, n)
-        q_steps = quantum_steps_by_pair[idx]
+    for idx, ((src, tgt), d, q_key, c_key) in enumerate(zip(pairs, distances, quantum, classical)):
+        c_steps, q_steps = classical_steps[c_key], quantum_steps[q_key]
         records.append(
             HittingRecord(
                 pair_index=idx,
                 source=src,
                 target=tgt,
-                d=dist_rows[src][tgt],
+                d=d,
                 classical_steps=c_steps,
                 quantum_steps=q_steps,
                 winner=HittingRecord.decide(c_steps, q_steps),
             )
         )
-    records.sort(key=lambda r: r.pair_index)
 
     by_distance: dict[int, dict[str, int]] = {}
     for rec in records:
@@ -333,6 +344,46 @@ def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], di
         "by_distance": dict(sorted(by_distance.items())),
     }
     return records, summary
+
+
+def _first_crossings(series: np.ndarray, level: float) -> list[int | None]:
+    """hitting_step for each row of a (walks, samples) array of watched series."""
+    crossed = series >= level
+    first = crossed.argmax(axis=1)
+    return [int(i) if hit else None for i, hit in zip(first, crossed.any(axis=1))]
+
+
+def _quantum_crossings(g: Graph, walks: set[tuple[int, int]], gamma: float, grid: TimeGrid,
+                       threshold: float) -> dict[tuple[int, int], int | None]:
+    """First sink crossing of each (start, sink target) walk.
+
+    The walks go to the kernel sorted by target, so that walks sharing a
+    propagator share a batch, in batches whose output stays within
+    _RACE_BATCH_BYTES.
+    """
+    n = g.node_count
+    adjacency = g.adjacency_matrix()
+    walks = sorted(walks, key=lambda walk: (walk[1], walk[0]))
+    size = max(1, _RACE_BATCH_BYTES // (8 * grid.sample_count * (n + 1)))
+    steps = {}
+    for lo in range(0, len(walks), size):
+        batch = walks[lo : lo + size]
+        diags = _sink_diagonals(adjacency, [s for s, _ in batch], [t for _, t in batch], gamma, grid)
+        _clamp_rows(diags)
+        steps.update(zip(batch, _first_crossings(diags[:, :, n], threshold)))
+    return steps
+
+
+def _classical_crossings(g: Graph, walks: set[tuple[int, int]], grid: TimeGrid,
+                         threshold: float) -> dict[tuple[int, int], int | None]:
+    """First crossing of each (start, watched node) classical walk."""
+    walks = sorted(walks)
+    starts = sorted({s for s, _ in walks})
+    probs = classical_probabilities(g, starts, grid.times())
+    _clamp_rows(probs)
+    row = {s: i for i, s in enumerate(starts)}
+    series = probs[[row[s] for s, _ in walks], :, [w for _, w in walks]]
+    return dict(zip(walks, _first_crossings(series, threshold)))
 
 
 def races_to_csv(records: list[HittingRecord], destination) -> None:

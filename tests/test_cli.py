@@ -322,3 +322,26 @@ def test_compare_family_rejects_non_finite_gamma(capsys):
     assert run(["compare", "--family", "hypercycle", "--dim", "2", "--k", "4",
                 "--sink", "--gamma", "nan", "--tmax", "1", "--dt", "0.1"]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["16", "-1"], ids=["node-count", "negative"])
+def test_simulate_range_checks_sink_target(tmp_path, capsys, target):
+    gpath = tmp_path / "torus.json"
+    run(["graph", "build", "--family", "hypercycle", "--dim", "2", "--k", "4", "--out", str(gpath)])
+    capsys.readouterr()
+    assert run(["simulate", "--in", str(gpath), "--sink", "--target", target,
+                "--tmax", "1", "--dt", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --target {target} out of range") and "0..15" in err
+
+
+def test_memory_error_exits_one(monkeypatch, capsys):
+    from qwfold import harness
+
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(harness, "run_hitting_races", exhausted)
+    assert run(["race", "--family", "cycle", "--k", "6", "--pairs", "2", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err

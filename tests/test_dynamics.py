@@ -260,6 +260,25 @@ def test_batch_with_per_member_targets(g, starts, targets, gamma):
             assert np.all(exact[row][:, -1] == 0.0)
 
 
+@pytest.mark.parametrize("history_bytes", [1 << 22, 1], ids=["one-block", "one-column-blocks"])
+def test_batch_blocks_match_single_walks(monkeypatch, history_bytes):
+    # 40 members on 11 distinct targets: two exponential chunks, uneven groups
+    # (padding), and with a tiny history budget one member per stepping block
+    import qwfold.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "_HISTORY_BYTES", history_bytes)
+    g = _random_weighted_graph(12, 3)
+    rng = np.random.default_rng(8)
+    starts = rng.integers(0, 12, 40)
+    targets = np.concatenate([np.full(20, 5), rng.integers(0, 11, 20)])
+    grid = TimeGrid(3.0, 0.1)
+    batch = _sink_diagonals(g.adjacency_matrix(), starts, targets, 1.5, grid)
+    assert len(np.unique(targets)) > dynamics._TARGETS_PER_EXPM
+    for row, (s, t) in enumerate(zip(starts, targets)):
+        alone = sink_evolve(g, int(s), SinkSpec(int(t), 12, 1.5), grid)
+        assert np.array_equal(batch[row], alone.probabilities)
+
+
 @st.composite
 def weighted_walks(draw):
     """Connected weighted graph on 2-7 nodes (a path plus chords), start and target."""

@@ -24,6 +24,7 @@ from qwfold.graphs import (
     load_group_map,
     save_graph,
     save_group_map,
+    translation_group,
 )
 
 
@@ -466,3 +467,54 @@ def test_save_graph_bytes_match_json_dump(tmp_path):
     expected = json.dumps(graph_to_document(g), indent=1)
     assert path.read_bytes() == expected.encode("utf-8")
     assert buf.getvalue() == expected
+
+
+# --- translations ------------------------------------------------------------------
+
+
+def _torus_variant(edit):
+    torus = build_hypercycle(2, 4)
+    edges, labels = list(torus.edges), list(torus.labels)
+    edit(edges, labels)
+    return Graph(torus.node_count, tuple(edges), tuple(labels))
+
+
+@pytest.mark.parametrize(
+    "g,k,dim",
+    [(build_cycle(8), 8, 1), (build_hypercycle(2, 6), 6, 2), (build_hypercycle(3, 4), 4, 3),
+     (build_hypercube(5), 2, 5)],
+    ids=["ring", "torus", "hypercycle3", "hypercube"],
+)
+def test_translation_group_of_cayley_graphs(g, k, dim):
+    shifts = translation_group(g)
+    assert (shifts.k, shifts.dim) == (k, dim)
+    # label(u) - label(v) mod k, read back as a row-major index
+    for u, v in [(0, 1), (g.node_count - 1, 3), (5, 5), (2, g.node_count - 2)]:
+        diff = tuple((a - b) % k for a, b in zip(g.labels[u], g.labels[v]))
+        assert g.labels[shifts.difference(u, v)] == diff
+    if k == 2:
+        assert shifts.difference(13, 6) == 13 ^ 6
+
+
+def _reweigh_first_edge(edges, labels):
+    i, j, w = edges[0]
+    edges[0] = (i, j, w * 1.5)
+
+
+def _swap_two_labels(edges, labels):
+    labels[0], labels[1] = labels[1], labels[0]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_torus_variant(_reweigh_first_edge),
+     _torus_variant(_swap_two_labels),
+     build_weighted_lattice([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+     build_weighted_line([1.0, 1.0, 1.0]),
+     Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0))),
+     Graph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)), ((0, 0), (0, 1), (1, 0)))],
+    ids=["torus-one-weight", "torus-swapped-labels", "weighted-lattice", "weighted-line",
+         "unlabelled", "incomplete-grid"],
+)
+def test_translation_group_rejects_other_graphs(g):
+    assert translation_group(g) is None

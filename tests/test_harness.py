@@ -1,12 +1,30 @@
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
 
+from qwfold.cli import cli_dispatch
 from qwfold.convolve import cycle_to_line, hypercube_to_line
-from qwfold.dynamics import ThresholdConfigError, TimeGrid
-from qwfold.graphs import GraphFamilySpec, GraphValidationError, build_cycle, build_weighted_line, save_graph
+from qwfold.dynamics import (
+    SinkSpec,
+    ThresholdConfigError,
+    TimeGrid,
+    classical_evolve,
+    hitting_step,
+    sink_evolve,
+)
+from qwfold.graphs import (
+    Graph,
+    GraphFamilySpec,
+    GraphValidationError,
+    bfs_distances,
+    build_cycle,
+    build_weighted_line,
+    save_graph,
+    translation_group,
+)
 from qwfold.harness import (
     ExperimentConfig,
     HittingRecord,
@@ -145,6 +163,87 @@ def test_race_csv_deterministic_bytes():
         assert len(fields) == 7
         int(fields[4])  # failures render as -1, so these always parse
         int(fields[5])
+
+
+def _random_connected_graph(n, seed):
+    """A random spanning path plus random chords, weights in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    pairs = {tuple(sorted((int(u), int(v)))) for u, v in zip(order, order[1:])}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return Graph(n, tuple((i, j, float(rng.uniform(0.5, 1.5))) for i, j in sorted(pairs)))
+
+
+def _reference_races(g, config):
+    """Each sampled pair raced on its own, as sampled (no translation, no batching)."""
+    n = g.node_count
+    records = []
+    for idx, (s, t) in enumerate(sample_pairs(n, config.pair_count, config.seed)):
+        quantum = sink_evolve(g, s, SinkSpec(t, n, config.gamma), config.grid)
+        q = hitting_step(quantum, n, config.threshold, n)
+        c = hitting_step(classical_evolve(g, s, config.grid), t, config.threshold, n)
+        records.append(HittingRecord(idx, s, t, bfs_distances(g, s)[t], c, q, HittingRecord.decide(c, q)))
+    return records
+
+
+@pytest.mark.parametrize(
+    "source,pairs,gamma,translated",
+    [(GraphFamilySpec("cycle", k=8), 40, 1.0, True),
+     (GraphFamilySpec("hypercycle", dim=2, k=6), 60, 1.0, True),
+     (GraphFamilySpec("hypercycle", dim=3, k=4), 30, 1.0, True),
+     (GraphFamilySpec("hypercube", dim=5), 30, 2.0, True),
+     (GraphFamilySpec("weighted_lattice", row_couplings=(1.0, R2, 0.5), col_couplings=(1.5, 1.0, R3)),
+      60, 1.0, False),
+     ("random", 60, 1.0, False),
+     (GraphFamilySpec("hypercycle", dim=2, k=6), 30, 0.0, True),
+     (GraphFamilySpec("cycle", k=4), 20, 1.0, True),
+     (GraphFamilySpec("weighted_line", couplings=(1.0, 2.0)), 10, 1.0, False)],
+    ids=["ring8", "torus6", "hypercycle4x4x4", "hypercube5", "weighted-lattice", "random-graph",
+         "gamma0", "ring4-repeats", "line3-repeats"],
+)
+def test_races_equal_per_pair_reference(tmp_path, source, pairs, gamma, translated):
+    if source == "random":
+        source = str(tmp_path / "random.json")
+        save_graph(_random_connected_graph(9, 4), source)
+    config = ExperimentConfig(source=source, seed=17, pair_count=pairs, gamma=gamma)
+    g = config.resolve_graph()
+    assert (translation_group(g) is not None) == translated
+    records, _ = run_hitting_races(config)
+    assert records == _reference_races(g, config)
+    if pairs > g.node_count * (g.node_count - 1):
+        assert len(set((r.source, r.target) for r in records)) < pairs
+
+
+def test_races_split_across_kernel_calls(monkeypatch):
+    # one walk per _sink_diagonals call; records as with one call per race
+    from qwfold import harness
+
+    monkeypatch.setattr(harness, "_RACE_BATCH_BYTES", 1)
+    line = GraphFamilySpec("weighted_line", couplings=(1.0, 2.0, 0.5))
+    for source in (GraphFamilySpec("cycle", k=8), line):
+        config = ExperimentConfig(source=source, seed=23, pair_count=12)
+        records, _ = run_hitting_races(config)
+        assert records == _reference_races(config.resolve_graph(), config)
+
+
+@pytest.mark.parametrize(
+    "source,digest",
+    [("torus", "b6ccd47ff4e1f5adf5e8ee6e2281822ac85542eba5e2602c04d7d1228460376c"),
+     ("lattice", "4b6a7cd72ae27cec1e19419f8ac2a9a5024275d79947aee02c736c2164f66bad")],
+)
+def test_race_csv_golden_bytes(tmp_path, source, digest):
+    # race --family hypercycle --dim 2 --k 6 --pairs 300 --seed 42, and race --in
+    # lattice.json from convolve --family hypercycle --dim 2 --k 6
+    if source == "torus":
+        source = GraphFamilySpec("hypercycle", dim=2, k=6)
+    else:
+        source = str(tmp_path / "lattice.json")
+        assert cli_dispatch(["convolve", "--family", "hypercycle", "--dim", "2", "--k", "6",
+                             "--out", source]) == 0
+    records, _ = run_hitting_races(ExperimentConfig(source=source, seed=42, pair_count=300))
+    buf = io.StringIO()
+    races_to_csv(records, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_races_reject_tiny_graph_threshold():
