@@ -3,7 +3,8 @@
 Provides adjacency spectra (via a self-contained cyclic Jacobi solver, kept
 independent from the LAPACK path used for time evolution), duplicate-
 eigenvalue clustering, equiprobable-group detection, and the numerical
-equivalence check between a graph and its reduction.
+equivalence check between a graph and its reduction, whose curve_deviation
+also scores the reduction chains of harness.
 """
 
 from __future__ import annotations
@@ -71,26 +72,24 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Adjacency eigenvalues sorted descending, plus the clustering tolerance."""
+    """Adjacency eigenvalues sorted descending."""
 
     values: tuple[float, ...]
-    tol: float = 1e-6
-
-    def distinct(self, tol: float | None = None) -> list[float]:
-        return distinct_eigenvalues(self, self.tol if tol is None else tol)
 
 
-def spectrum(g: Graph, tol: float = 1e-6) -> Spectrum:
-    """Eigenvalues of the adjacency matrix, descending."""
+def spectrum(g: Graph) -> Spectrum:
+    """Eigenvalues of the adjacency matrix, descending; their sum must match
+    the zero trace within 1e-8 per unit of the largest coupling (at least 1)."""
     if g.node_count < 1:
         raise GraphValidationError("graph is empty")
-    vals = jacobi_eigenvalues(g.adjacency_matrix())
+    a = g.adjacency_matrix()
+    vals = jacobi_eigenvalues(a)
     total = vals.sum()
-    if abs(total) > 1e-8:
+    if abs(total) > 1e-8 * max(1.0, np.abs(a).max()):
         raise EigensolverConvergenceError(
             f"eigenvalue sum {total:.3e} deviates from the zero trace"
         )
-    return Spectrum(tuple(sorted(vals, reverse=True)), tol)
+    return Spectrum(tuple(sorted(vals, reverse=True)))
 
 
 def distinct_eigenvalues(s: Spectrum, tol: float) -> list[float]:
@@ -176,7 +175,7 @@ def equiprobable_groups(
     )
 
 
-def _curve_deviation(orig: WalkCurve, reduced: WalkCurve, gmap: GroupMap | None) -> float:
+def curve_deviation(orig: WalkCurve, reduced: WalkCurve, gmap: GroupMap | None) -> float:
     """Max deviation over sample times: sink populations for sink curves;
     otherwise each reduced node against its preimage (under gmap) summed."""
     if orig.has_sink:
@@ -231,7 +230,7 @@ def verify_equivalence(
             )
         orig = sink_evolve(g_orig, start_orig, sink_orig, grid)
         red = sink_evolve(result.reduced, start_reduced, sink_red, grid)
-    return _curve_deviation(orig, red, gmap)
+    return curve_deviation(orig, red, gmap)
 
 
 def minimality_report(
@@ -247,7 +246,7 @@ def minimality_report(
     otherwise; nothing beyond the comparison is asserted.
     """
     partition = equiprobable_groups(g, start, sample_times, group_tol)
-    spec = spectrum(g, distinct_tol)
+    spec = spectrum(g)
     distinct = distinct_eigenvalues(spec, distinct_tol)
     verdict = "CONSISTENT" if partition.group_count == len(distinct) else "DISCREPANT"
     return {

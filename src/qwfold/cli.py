@@ -164,7 +164,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = load_graph(args.infile)
-    spec = analysis.spectrum(g, args.tol)
+    spec = analysis.spectrum(g)
     doc = {
         "eigenvalues": [float(v) for v in spec.values],
         "distinct": analysis.distinct_eigenvalues(spec, args.tol),

@@ -13,10 +13,9 @@ production sink walk (sink_evolve, races, reduction chains) propagates that
 state exactly, one scaling-and-squaring exponential per distinct sink target
 (Moler & Van Loan, SIAM Rev. 45, 3, 2003); lindblad_evolve integrates the
 full master equation with RK4 and is kept as the reference the tests hold it
-to.  Hitting races on rings, hypercycles and hypercubes translate every race
-onto the sink at node 0: these graphs are Cayley graphs of Z_k^D, whose
-translations are automorphisms, so a translated race is the same walk, and
-a whole race batch needs one exponential.
+to.  sink_hitting_steps and classical_hitting_steps run each distinct walk
+of a batch once and read its hitting step with the one threshold scan
+(_first_crossings), which hitting_step also uses.
 """
 
 from __future__ import annotations
@@ -38,9 +37,12 @@ _TAYLOR_DEGREE = 16
 # _sink_diagonals exponentiates at most this many distinct targets at once,
 # and _propagate keeps about this many bytes of amplitude history: a few
 # samples' worth, so the per-sample reduction to |psi|^2 is amortized while
-# the transient memory stays below that of the output.
+# the transient memory stays below that of the output.  sink_hitting_steps
+# hands _sink_diagonals at most _RACE_BATCH_BYTES of output per call, which
+# holds every walk of a race on the 6x6 torus (35) or its lattice (240).
 _TARGETS_PER_EXPM = 8
 _HISTORY_BYTES = 1 << 18
+_RACE_BATCH_BYTES = 1 << 24
 
 
 class EigendecompositionError(RuntimeError):
@@ -343,11 +345,11 @@ def _sink_diagonals(
     formed once per distinct target (_TARGETS_PER_EXPM at a time), and all
     members on those targets are stepped together, one batched product per
     sample (_propagate).  A race batch on a translation-invariant graph has
-    every member on one target (harness.run_hitting_races), so it needs one
-    exponential and one stepping loop.  Positivity and trace hold by
-    construction, so the guards are a finite result and a norm |psi|^2 that
-    never grows by more than 1e-12 between samples (a contraction cannot
-    grow it).
+    every member on one target (harness.run_hitting_races relabels it so), so
+    it needs one exponential and one stepping loop.  Positivity and trace
+    hold by construction, so the guards are a finite result and a norm
+    |psi|^2 that never grows by more than 1e-12 between samples (a
+    contraction cannot grow it).
     """
     n = a_sys.shape[0]
     starts = np.asarray(starts, dtype=int)
@@ -506,8 +508,54 @@ def hitting_step(
     levels); either way the level must be < 1.
     """
     p_th = policy.value(n_for_threshold) if threshold is None else threshold
-    if p_th >= 1.0:
-        raise ThresholdConfigError(f"threshold {p_th} >= 1 can never be crossed")
-    series = curve.probabilities[:, watch]
-    hits = np.nonzero(series >= p_th)[0]
-    return int(hits[0]) if hits.size else None
+    return _first_crossings(curve.probabilities[np.newaxis, :, watch], p_th)[0]
+
+
+def _first_crossings(series: np.ndarray, level: float) -> list[int | None]:
+    """First index at which each row of a (walks, samples) array reaches level."""
+    if level >= 1.0:
+        raise ThresholdConfigError(f"threshold {level} >= 1 can never be crossed")
+    crossed = series >= level
+    return [int(i) if hit else None for i, hit in zip(crossed.argmax(axis=1), crossed.any(axis=1))]
+
+
+def _distinct_walks(g: Graph, walks) -> list[tuple[int, int]]:
+    """The distinct (start, watched node) walks, sorted; nodes must be in range."""
+    walks = sorted(set(walks))
+    bad = [v for walk in walks for v in walk if not 0 <= v < g.node_count]
+    if bad:
+        raise GraphValidationError(f"walk node {bad[0]} out of range for {g.node_count} nodes")
+    return walks
+
+
+def sink_hitting_steps(g: Graph, walks, gamma: float, grid: TimeGrid,
+                       level: float) -> dict[tuple[int, int], int | None]:
+    """hitting_step of the sink of each distinct (start, sink target) walk.
+
+    The walks go to _sink_diagonals sorted by target, so that walks sharing a
+    propagator share a batch, in batches within _RACE_BATCH_BYTES of output.
+    """
+    n = g.node_count
+    adjacency = g.adjacency_matrix()
+    walks = sorted(_distinct_walks(g, walks), key=lambda walk: (walk[1], walk[0]))
+    size = max(1, _RACE_BATCH_BYTES // (8 * grid.sample_count * (n + 1)))
+    steps = {}
+    for lo in range(0, len(walks), size):
+        batch = walks[lo : lo + size]
+        diags = _sink_diagonals(adjacency, [s for s, _ in batch], [t for _, t in batch], gamma, grid)
+        _clamp_rows(diags)
+        steps.update(zip(batch, _first_crossings(diags[:, :, n], level)))
+    return steps
+
+
+def classical_hitting_steps(g: Graph, walks, grid: TimeGrid,
+                            level: float) -> dict[tuple[int, int], int | None]:
+    """hitting_step of each distinct (start, watched node) classical walk;
+    one classical_probabilities call evolves every distinct start."""
+    walks = _distinct_walks(g, walks)
+    starts = sorted({s for s, _ in walks})
+    probs = classical_probabilities(g, starts, grid.times())
+    _clamp_rows(probs)
+    row = {s: i for i, s in enumerate(starts)}
+    series = probs[[row[s] for s, _ in walks], :, [w for _, w in walks]]
+    return dict(zip(walks, _first_crossings(series, level)))

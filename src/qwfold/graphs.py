@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,16 @@ def _check_scale(n: int) -> None:
         )
 
 
+def _is_int(x) -> bool:
+    """Python or NumPy integer; bool is an int subclass but not a node index."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _int_types(types: set) -> bool:
+    """_is_int for values of these types: one test per type, not per node."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Weighted undirected graph with a canonical edge list.
@@ -50,11 +61,16 @@ class Graph:
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise GraphValidationError("node_count must be positive")
+        if not _is_int(self.node_count) or self.node_count < 1:
+            raise GraphValidationError(f"node_count must be a positive integer, got {self.node_count!r}")
+        object.__setattr__(self, "node_count", int(self.node_count))
+        edges = tuple(self.edges)
+        ends = {type(i) for i, _, _ in edges} | {type(j) for _, j, _ in edges}
+        if not _int_types(ends) or {type(w) for _, _, w in edges} & {bool, np.bool_}:
+            raise GraphValidationError(f"edges need integer endpoints and numeric weights: {edges!r}")
         canonical = []
         seen = set()
-        for i, j, w in self.edges:
+        for i, j, w in edges:
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise GraphValidationError(f"edge ({i},{j}) out of range for {self.node_count} nodes")
             if i == j:
@@ -68,12 +84,16 @@ class Graph:
                 raise GraphValidationError(f"duplicate edge for pair ({a},{b})")
             seen.add((a, b))
             canonical.append((a, b, float(w)))
-        canonical.sort(key=lambda e: (e[0], e[1]))
+        canonical.sort()  # by (i, j): pairs are distinct
+        if ends - {int}:  # NumPy integers
+            canonical = [(int(a), int(b), w) for a, b, w in canonical]
         object.__setattr__(self, "edges", tuple(canonical))
         if self.labels is not None:
             if len(self.labels) != self.node_count:
                 raise GraphValidationError("labels length must equal node_count")
-            object.__setattr__(self, "labels", tuple(tuple(int(c) for c in lab) for lab in self.labels))
+            if not _int_types(set(map(type, chain.from_iterable(self.labels)))):
+                raise GraphValidationError(f"label entries must be integers: {self.labels!r}")
+            object.__setattr__(self, "labels", tuple(tuple(map(int, lab)) for lab in self.labels))
 
     @property
     def edge_count(self) -> int:
@@ -405,11 +425,6 @@ def graph_to_document(g: Graph) -> dict:
     return doc
 
 
-def _is_int(x) -> bool:
-    """Python or NumPy integer; bool is an int subclass but not a node index."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _list_field(doc: dict, key: str) -> list:
     value = doc[key]
     if not isinstance(value, list):
@@ -423,29 +438,21 @@ def graph_from_document(doc) -> Graph:
     for key in ("nodes", "edges"):
         if key not in doc:
             raise GraphValidationError(f"graph document missing required key {key!r}")
-    nodes = doc["nodes"]
-    if not _is_int(nodes) or nodes < 1:
-        raise GraphValidationError(f"'nodes' must be a positive integer, got {nodes!r}")
-    edges = []
-    for pos, entry in enumerate(_list_field(doc, "edges")):
+    edges = _list_field(doc, "edges")
+    for pos, entry in enumerate(edges):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise GraphValidationError(f"edge #{pos} is not an [i, j, w] triple: {entry!r}")
-        i, j, w = entry
-        if not (_is_int(i) and _is_int(j)):
-            raise GraphValidationError(f"edge #{pos} endpoints must be integers: {entry!r}")
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
+        if not isinstance(entry[2], (int, float)) or isinstance(entry[2], bool):
             raise GraphValidationError(f"edge #{pos} weight must be a number: {entry!r}")
-        edges.append((i, j, float(w)))
     labels = doc.get("labels")
     if labels is not None:
         for pos, lab in enumerate(_list_field(doc, "labels")):
-            if not (isinstance(lab, list) and all(_is_int(c) for c in lab)):
-                raise GraphValidationError(f"label #{pos} must be an array of integers: {lab!r}")
-        labels = tuple(tuple(lab) for lab in labels)
+            if not isinstance(lab, list):
+                raise GraphValidationError(f"label #{pos} must be an array: {lab!r}")
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise GraphValidationError("'meta' must be an object")
-    return Graph(nodes, tuple(edges), labels, meta)
+    return Graph(doc["nodes"], tuple(edges), labels, meta)
 
 
 def write_text(text: str, destination) -> None:

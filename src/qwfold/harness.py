@@ -2,7 +2,9 @@
 
 Everything here is deterministic given the configuration: pair sampling uses
 a self-contained splitmix64 stream (documented below) so identical seeds give
-byte-identical CSV output on any platform.
+byte-identical CSV output on any platform.  A race only relabels its walks
+(by translation, where the graph has them) and looks up their hitting steps,
+which dynamics computes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .analysis import _curve_deviation
+from .analysis import curve_deviation
 from .convolve import (
     ConvolutionResult,
     compose_maps,
@@ -26,10 +28,9 @@ from .dynamics import (
     SinkSpec,
     ThresholdPolicy,
     TimeGrid,
-    _clamp_rows,
-    _sink_diagonals,
-    classical_probabilities,
+    classical_hitting_steps,
     sink_evolve,
+    sink_hitting_steps,
     unitary_evolve,
 )
 from .graphs import (
@@ -43,11 +44,6 @@ from .graphs import (
 )
 
 RACE_CSV_HEADER = "pair,source,target,d,classical_steps,quantum_steps,winner"
-
-# run_hitting_races hands the sink kernel at most this many bytes of output
-# per call; every distinct walk of a race on the 36-node torus (at most 35)
-# or on its 16-node lattice (at most 240) fits in one call.
-_RACE_BATCH_BYTES = 1 << 24
 
 
 class SplitMix64:
@@ -179,13 +175,6 @@ def farthest_node(g: Graph, start: int) -> int:
     return dist.index(best)
 
 
-def _square_side(g: Graph) -> int:
-    side = round(g.node_count**0.5)
-    if side * side != g.node_count:
-        raise GraphValidationError(f"{g.node_count} nodes do not form a square lattice")
-    return side
-
-
 def equivalence_chain(spec: GraphFamilySpec) -> tuple[list[str], list[Graph], list[ConvolutionResult], bool]:
     """Resolve the reduction chain of a family.
 
@@ -205,8 +194,7 @@ def equivalence_chain(spec: GraphFamilySpec) -> tuple[list[str], list[Graph], li
             raise GraphValidationError("equivalence chain is defined for the 2D hypercycle (torus)")
         torus = spec.build()
         to_lattice = hypercycle_to_lattice(2, spec.k)
-        side = _square_side(to_lattice.reduced)
-        fold = lattice_fold(to_lattice.reduced, side)
+        fold = lattice_fold(to_lattice.reduced, spec.k // 2 + 1)
         composed = ConvolutionResult(
             fold.reduced, compose_maps(fold.map, to_lattice.map), "lattice_fold"
         )
@@ -218,7 +206,7 @@ def equivalence_chain(spec: GraphFamilySpec) -> tuple[list[str], list[Graph], li
         )
     if spec.family == "weighted_lattice":
         lattice = spec.build()
-        fold = lattice_fold(lattice, _square_side(lattice))
+        fold = lattice_fold(lattice, len(spec.row_couplings) + 1)
         return (["lattice", "ultimate"], [lattice, fold.reduced], [fold], True)
     raise GraphValidationError(f"no reduction chain defined for family {spec.family!r}")
 
@@ -269,7 +257,7 @@ def run_equivalence_experiment(config: ExperimentConfig) -> EquivalenceOutcome:
     # maps lead out of the original only, and unitary chains have two members
     deviations = tuple(
         {"a": a, "b": b,
-         "max_deviation": _curve_deviation(curves[a], curves[b], maps[j] if i == 0 else None)}
+         "max_deviation": curve_deviation(curves[a], curves[b], maps[j] if i == 0 else None)}
         for (i, a), (j, b) in combinations(enumerate(names), 2)
     )
     return EquivalenceOutcome(tuple(names), curves, targets, deviations)
@@ -284,14 +272,14 @@ def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], di
     not a graph node).  Failure to cross within the grid horizon loses to any
     success.
 
-    Each distinct walk runs once.  When the graph is a Cayley graph of
-    Z_k^D (graphs.translation_group: rings, hypercycles, hypercubes), every
-    translation is an automorphism and carries a walk onto an identical one,
-    so race (s, t) is run as the quantum walk from s - t to the sink at 0 and
-    the classical walk from 0 watched at t - s, at edge distance d(0, t - s).
-    All quantum walks then share one sink target, hence one propagator, and
-    one classical start.  Other graphs run each distinct pair as sampled.
-    Either way the classical walks share one eigendecomposition.
+    Each race is relabelled, then looked up in the hitting steps that
+    dynamics computes once per distinct walk.  On a Cayley graph of Z_k^D
+    (graphs.translation_group: rings, hypercycles, hypercubes) translations
+    are automorphisms, so the quantum walk of race (s, t) is translated by
+    -t (from s - t to the sink at 0) and the classical walk by -s (from 0,
+    watched at t - s): one propagator and one classical start serve every
+    race.  Other graphs keep their coordinates.  d is read from the BFS row
+    of the relabelled classical start.
     """
     g = config.resolve_graph()
     from_corner = bfs_distances(g, 0)
@@ -302,16 +290,13 @@ def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], di
     pairs = sample_pairs(n, config.pair_count, config.seed)
 
     shifts = translation_group(g)
-    if shifts is None:
-        quantum = classical = pairs
-        rows = {src: bfs_distances(g, src) for src in {s for s, _ in pairs}}
-        distances = [rows[s][t] for s, t in pairs]
-    else:
-        quantum = [(shifts.difference(s, t), 0) for s, t in pairs]
-        classical = [(0, shifts.difference(t, s)) for s, t in pairs]
-        distances = [from_corner[watch] for _, watch in classical]
-    quantum_steps = _quantum_crossings(g, set(quantum), config.gamma, config.grid, threshold)
-    classical_steps = _classical_crossings(g, set(classical), config.grid, threshold)
+    shift = (lambda u, by: u) if shifts is None else shifts.difference  # u translated by -by
+    quantum = [(shift(s, t), shift(t, t)) for s, t in pairs]
+    classical = [(shift(s, s), shift(t, s)) for s, t in pairs]
+    rows = {start: bfs_distances(g, start) for start in {s for s, _ in classical} - {0}} | {0: from_corner}
+    distances = [rows[start][watch] for start, watch in classical]
+    quantum_steps = sink_hitting_steps(g, quantum, config.gamma, config.grid, threshold)
+    classical_steps = classical_hitting_steps(g, classical, config.grid, threshold)
 
     records = []
     for idx, ((src, tgt), d, q_key, c_key) in enumerate(zip(pairs, distances, quantum, classical)):
@@ -344,46 +329,6 @@ def run_hitting_races(config: ExperimentConfig) -> tuple[list[HittingRecord], di
         "by_distance": dict(sorted(by_distance.items())),
     }
     return records, summary
-
-
-def _first_crossings(series: np.ndarray, level: float) -> list[int | None]:
-    """hitting_step for each row of a (walks, samples) array of watched series."""
-    crossed = series >= level
-    first = crossed.argmax(axis=1)
-    return [int(i) if hit else None for i, hit in zip(first, crossed.any(axis=1))]
-
-
-def _quantum_crossings(g: Graph, walks: set[tuple[int, int]], gamma: float, grid: TimeGrid,
-                       threshold: float) -> dict[tuple[int, int], int | None]:
-    """First sink crossing of each (start, sink target) walk.
-
-    The walks go to the kernel sorted by target, so that walks sharing a
-    propagator share a batch, in batches whose output stays within
-    _RACE_BATCH_BYTES.
-    """
-    n = g.node_count
-    adjacency = g.adjacency_matrix()
-    walks = sorted(walks, key=lambda walk: (walk[1], walk[0]))
-    size = max(1, _RACE_BATCH_BYTES // (8 * grid.sample_count * (n + 1)))
-    steps = {}
-    for lo in range(0, len(walks), size):
-        batch = walks[lo : lo + size]
-        diags = _sink_diagonals(adjacency, [s for s, _ in batch], [t for _, t in batch], gamma, grid)
-        _clamp_rows(diags)
-        steps.update(zip(batch, _first_crossings(diags[:, :, n], threshold)))
-    return steps
-
-
-def _classical_crossings(g: Graph, walks: set[tuple[int, int]], grid: TimeGrid,
-                         threshold: float) -> dict[tuple[int, int], int | None]:
-    """First crossing of each (start, watched node) classical walk."""
-    walks = sorted(walks)
-    starts = sorted({s for s, _ in walks})
-    probs = classical_probabilities(g, starts, grid.times())
-    _clamp_rows(probs)
-    row = {s: i for i, s in enumerate(starts)}
-    series = probs[[row[s] for s, _ in walks], :, [w for _, w in walks]]
-    return dict(zip(walks, _first_crossings(series, threshold)))
 
 
 def races_to_csv(records: list[HittingRecord], destination) -> None:

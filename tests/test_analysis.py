@@ -27,6 +27,7 @@ from qwfold.graphs import (
     build_cycle,
     build_hypercube,
     build_hypercycle,
+    build_weighted_lattice,
     build_weighted_line,
 )
 
@@ -101,6 +102,43 @@ def test_distinct_hypercube3():
 def test_distinct_cycle4():
     d = distinct_eigenvalues(spectrum(build_cycle(4)), 1e-6)
     np.testing.assert_allclose(d, [2, 0, -2], atol=1e-10)
+
+
+BIG_LINE = (1e9, 2e9, 5e8, 3e9)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_weighted_line(BIG_LINE), build_weighted_lattice((1e9,) * 3, (1e9,) * 3)],
+    ids=["line", "lattice4x4"],
+)
+def test_spectrum_of_large_weights_matches_lapack(g):
+    # the trace guard scales with the couplings; 1e-8 absolute rejects these
+    values = np.array(spectrum(g).values)
+    ref = np.sort(np.linalg.eigvalsh(g.adjacency_matrix()))[::-1]
+    np.testing.assert_allclose(values, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_minimality_of_large_weights():
+    report = minimality_report(build_weighted_line(BIG_LINE), 0)
+    assert report["eigenvalues"]["full"] == list(spectrum(build_weighted_line(BIG_LINE)).values)
+    assert report["verdict"] == "CONSISTENT"
+
+
+@pytest.mark.parametrize("g", [build_cycle(8), build_weighted_line(BIG_LINE)], ids=["unit", "large"])
+def test_spectrum_trace_guard_catches_wrong_eigenvalue(monkeypatch, g):
+    from qwfold import analysis
+
+    solve = analysis.jacobi_eigenvalues
+
+    def shifted(matrix):
+        vals = solve(matrix)
+        vals[0] += 1e-6 * max(1.0, np.abs(matrix).max())
+        return vals
+
+    monkeypatch.setattr(analysis, "jacobi_eigenvalues", shifted)
+    with pytest.raises(EigensolverConvergenceError, match="zero trace"):
+        spectrum(g)
 
 
 def test_distinct_warns_on_ambiguous_gap():

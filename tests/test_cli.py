@@ -171,6 +171,19 @@ def test_spectrum_command(tmp_path, capsys):
     assert len(doc["eigenvalues"]) == 8
 
 
+def test_spectrum_and_minimality_accept_large_weights(tmp_path, capsys):
+    gpath = tmp_path / "big.json"
+    run(["graph", "build", "--family", "weighted_line", "--couplings", "1e9,2e9,5e8,3e9",
+         "--out", str(gpath)])
+    capsys.readouterr()
+    assert run(["spectrum", "--in", str(gpath)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ref = np.sort(np.linalg.eigvalsh(load_graph(gpath).adjacency_matrix()))[::-1]
+    np.testing.assert_allclose(doc["eigenvalues"], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    assert run(["minimality", "--in", str(gpath)]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"]["full"] == doc["eigenvalues"]
+
+
 def test_groups_command(tmp_path, capsys):
     gpath = tmp_path / "cube.json"
     run(["graph", "build", "--family", "hypercube", "--dim", "3", "--out", str(gpath)])

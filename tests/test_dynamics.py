@@ -18,9 +18,11 @@ from qwfold.dynamics import (
     _lindblad_diagonals,
     _sink_diagonals,
     classical_evolve,
+    classical_hitting_steps,
     hitting_step,
     lindblad_evolve,
     sink_evolve,
+    sink_hitting_steps,
     transition_matrix,
     unitary_evolve,
     unitary_probabilities,
@@ -408,6 +410,38 @@ def test_hitting_step_failure_is_none():
     curve = classical_evolve(build_cycle(8), 0, TimeGrid(5.0, 0.1))
     # equilibrium on 8 nodes is 1/8; a 0.9 level is never reached
     assert hitting_step(curve, 4, ThresholdPolicy(), 8, threshold=0.9) is None
+
+
+LATTICE = Graph(6, ((0, 1, 1.0), (1, 2, 2.0), (0, 3, 0.5), (1, 4, 1.5), (2, 5, 1.0), (3, 4, 1.0), (4, 5, 3.0)))
+
+
+@pytest.mark.parametrize("g", [build_hypercycle(2, 4), LATTICE], ids=["torus4", "weighted-lattice"])
+@pytest.mark.parametrize("gamma", [1.0, 2.5, 0.0])
+@pytest.mark.parametrize("level", [0.1, 0.999], ids=["crossed", "never-crossed"])
+def test_batch_hitting_steps_equal_single_curves(g, gamma, level):
+    # walks unsorted and duplicated; each answer as hitting_step on its own curve
+    n, grid, policy = g.node_count, TimeGrid(8.0, 0.1), ThresholdPolicy()
+    walks = [(5, 0), (0, 3), (2, 4), (5, 0), (1, 1), (0, 3), (4, 2), (3, 0)]
+    quantum = sink_hitting_steps(g, walks, gamma, grid, level)
+    classical = classical_hitting_steps(g, walks, grid, level)
+    assert sorted(quantum) == sorted(classical) == sorted(set(walks))
+    for s, w in set(walks):
+        curve = sink_evolve(g, s, SinkSpec(w, n, gamma), grid)
+        assert quantum[s, w] == hitting_step(curve, n, policy, n, threshold=level)
+        curve = classical_evolve(g, s, grid)
+        assert classical[s, w] == hitting_step(curve, w, policy, n, threshold=level)
+    if gamma == 0.0 or level == 0.999:
+        assert set(quantum.values()) == {None}
+
+
+def test_batch_hitting_steps_reject_bad_input():
+    grid = TimeGrid(1.0, 0.1)
+    with pytest.raises(GraphValidationError, match="out of range"):
+        sink_hitting_steps(LATTICE, [(0, 6)], 1.0, grid, 0.5)
+    with pytest.raises(GraphValidationError, match="out of range"):
+        classical_hitting_steps(LATTICE, [(-1, 2)], grid, 0.5)
+    with pytest.raises(ThresholdConfigError):
+        classical_hitting_steps(LATTICE, [(0, 2)], grid, 1.0)
 
 
 def test_threshold_values():

@@ -307,6 +307,33 @@ def test_graph_rejects_nonpositive_weight():
         Graph(3, ((0, 1, -0.5),))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2, ((0.5, 1, 1.0),)),
+     (2, ((0, 1, 1.0),), ((0.7,), (1.2,))),
+     (2.5, ((0, 1, 1.0),)),
+     (True, ()),
+     (2, ((True, 1, 1.0),)),
+     (2, ((0, np.float64(1.0), 1.0),)),
+     (2, ((0, 1, True),)),
+     (2, ((0, 1, np.bool_(True)),)),
+     (2, ((0, 1, 1.0),), (("0",), (1,)))],
+    ids=["fractional-endpoint", "fractional-labels", "fractional-nodes", "bool-nodes",
+         "bool-endpoint", "float-endpoint", "bool-weight", "numpy-bool-weight", "string-label"],
+)
+def test_graph_rejects_non_integer_indices(args):
+    with pytest.raises(GraphValidationError, match="integer|number"):
+        Graph(*args)
+
+
+def test_graph_accepts_numpy_integers():
+    g = Graph(np.int64(3), ((np.int32(0), np.int64(2), 1.5), (1, 2, 2.0)),
+              labels=((np.int8(0),), (1,), (np.uint16(2),)))
+    assert g == Graph(3, ((0, 2, 1.5), (1, 2, 2.0)), labels=((0,), (1,), (2,)))
+    assert all(type(x) is int for x in (g.node_count, *g.edges[0][:2], *g.labels[2]))
+    json.dumps(graph_to_document(g))
+
+
 def test_group_map_requires_surjectivity():
     with pytest.raises(GraphValidationError, match="surjective"):
         GroupMap(3, 3, (0, 0, 1))

@@ -216,9 +216,9 @@ def test_races_equal_per_pair_reference(tmp_path, source, pairs, gamma, translat
 
 def test_races_split_across_kernel_calls(monkeypatch):
     # one walk per _sink_diagonals call; records as with one call per race
-    from qwfold import harness
+    from qwfold import dynamics
 
-    monkeypatch.setattr(harness, "_RACE_BATCH_BYTES", 1)
+    monkeypatch.setattr(dynamics, "_RACE_BATCH_BYTES", 1)
     line = GraphFamilySpec("weighted_line", couplings=(1.0, 2.0, 0.5))
     for source in (GraphFamilySpec("cycle", k=8), line):
         config = ExperimentConfig(source=source, seed=23, pair_count=12)
@@ -286,6 +286,14 @@ def test_equivalence_chain_names():
     names, graphs, convs, sink = equivalence_chain(GraphFamilySpec("hypercube", dim=3))
     assert names == ["hypercube", "line"]
     assert sink is False
+
+
+def test_equivalence_chain_rejects_non_square_lattice():
+    # rows of 3 sites, columns of 2: the fold needs a square lattice
+    spec = GraphFamilySpec("weighted_lattice", row_couplings=(1.0, 2.0), col_couplings=(1.0,))
+    assert spec.build().node_count == 6
+    with pytest.raises(GraphValidationError, match="3x3 lattice"):
+        equivalence_chain(spec)
 
 
 def test_equivalence_chain_rejects_unknown():
