@@ -1,6 +1,6 @@
 """Spectral and symmetry analysis of walk graphs.
 
-Provides adjacency spectra (via a self-contained cyclic Jacobi solver, kept
+Provides adjacency spectra (via a self-contained round-robin Jacobi solver, kept
 independent from the LAPACK path used for time evolution), duplicate-
 eigenvalue clustering, equiprobable-group detection, and the numerical
 equivalence check between a graph and its reduction, whose curve_deviation
@@ -26,43 +26,73 @@ class EigensolverConvergenceError(RuntimeError):
     """Jacobi sweeps exhausted before the off-diagonal residual target."""
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The n - 1 steps (n even; odd n adds one padding index, whose pairs
+    are dropped) of the round-robin tournament: index 0 stays, the others
+    turn one place per step.  Each step holds disjoint (p < q) pairs, and
+    the steps together hold every pair exactly once."""
+    padded = n + n % 2
+    half = padded // 2
+    others = np.arange(1, padded)
+    steps = []
+    for shift in range(padded - 1):
+        order = np.concatenate(([0], np.roll(others, shift)))
+        p, q = order[:half], order[: half - 1 : -1]
+        keep = np.maximum(p, q) < n
+        steps.append((np.minimum(p, q)[keep], np.maximum(p, q)[keep]))
+    return steps
 
-    Sweeps rotate every off-diagonal pair until max |a_pq| <= tol; raises
-    after max_sweeps unconverged sweeps.  Returns unsorted diagonal values.
+
+def _rotate_rows(a: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """Rows (p, q) <- (c*row_p - s*row_q, s*row_p + c*row_q) for each pair, in place."""
+    c, s = c[:, np.newaxis], s[:, np.newaxis]
+    row_p, row_q = a[p], a[q]
+    a[p] = c * row_p - s * row_q
+    a[q] = s * row_p + c * row_q
+
+
+def jacobi_eigenvalues(matrix: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> np.ndarray:
+    """Eigenvalues of a real symmetric matrix by round-robin Jacobi rotations
+    (Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 69, 1985).
+
+    A sweep rotates every off-diagonal pair once, in n - 1 steps of disjoint
+    pairs that are rotated together, until max |a_pq| <= tol; raises after
+    max_sweeps unconverged sweeps.  Returns unsorted diagonal values.
     """
     a = np.array(matrix, dtype=float, copy=True)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(a - a.T).max() > 1e-12:
         raise ValueError("matrix is not symmetric")
     if n == 1:
         return a.diagonal().copy()
+    steps = _round_robin(n)
     for _ in range(max_sweeps):
         off = np.abs(a - np.diag(a.diagonal())).max()
         if off <= tol:
             return a.diagonal().copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / (10.0 * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+        for p, q in steps:
+            apq = a[p, q]
+            # drop the skipped pairs before theta: a_pq = 0 with a_pp = a_qq is 0/0
+            live = np.abs(apq) > tol / (10.0 * n)
+            if not live.all():
+                p, q, apq = p[live], q[live], apq[live]
+            if not p.size:
+                continue
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.where(theta == 0.0, 1.0, np.sign(theta) / (np.abs(theta) + np.hypot(theta, 1.0)))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            # rows, then rows of the transpose: J^T (J^T A)^T = (J^T A J)^T, so
+            # the rotated matrix is carried transposed and rows stay contiguous
+            _rotate_rows(a, p, q, c, s)
+            a = a.T.copy()
+            _rotate_rows(a, p, q, c, s)
+            a[p, q] = 0.0
+            a[q, p] = 0.0
     off = np.abs(a - np.diag(a.diagonal())).max()
     raise EigensolverConvergenceError(
         f"Jacobi did not reach off-diagonal residual {tol:g} within "
@@ -243,11 +273,16 @@ def minimality_report(
     """Compare equiprobable-group count against distinct-eigenvalue count.
 
     The verdict is CONSISTENT when the two counts agree and DISCREPANT
-    otherwise; nothing beyond the comparison is asserted.
+    otherwise; nothing beyond the comparison is asserted.  With s the largest
+    coupling (at least 1), eigenvalues cluster within distinct_tol * s and the
+    walk is sampled at sample_times / s, so the verdict does not depend on
+    the unit of the weights; group_tol compares probabilities and stays as is.
     """
-    partition = equiprobable_groups(g, start, sample_times, group_tol)
+    scale = max([1.0, *(w for _, _, w in g.edges)])
+    times = [t / scale for t in sample_times]
+    partition = equiprobable_groups(g, start, times, group_tol)
     spec = spectrum(g)
-    distinct = distinct_eigenvalues(spec, distinct_tol)
+    distinct = distinct_eigenvalues(spec, distinct_tol * scale)
     verdict = "CONSISTENT" if partition.group_count == len(distinct) else "DISCREPANT"
     return {
         "group_count": partition.group_count,

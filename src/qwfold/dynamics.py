@@ -173,9 +173,9 @@ class WalkCurve:
         header = ["t"] + [f"node_{i}" for i in range(self.node_count)]
         if self.has_sink:
             header.append("sink")
-        lines = [",".join(header)]
-        for t, row in zip(self.grid.times(), self.probabilities):
-            lines.append(",".join(f"{x:.12g}" for x in [t, *row]))
+        row = ",".join(["%.12g"] * len(header))
+        table = np.column_stack((self.grid.times(), self.probabilities))
+        lines = [",".join(header), *(row % tuple(values.tolist()) for values in table)]
         write_text("\n".join(lines) + "\n", destination)
 
 
@@ -183,6 +183,8 @@ def _clamp_rows(probs: np.ndarray) -> None:
     """Check that probability rows (last axis) sum to 1 within 1e-6, then
     clamp them to [-1e-9, 1 + 1e-9] in place; leading axes are a batch."""
     sums = probs.sum(axis=-1)
+    if not sums.size:  # an empty batch has no rows to check
+        return
     bad = np.unravel_index(np.argmax(np.abs(sums - 1.0)), sums.shape)
     if abs(sums[bad] - 1.0) > 1e-6:
         where = ", ".join(str(int(i)) for i in bad)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from itertools import chain
 from dataclasses import dataclass, field
@@ -45,6 +46,11 @@ def _int_types(types: set) -> bool:
     return all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
 
 
+def _real_types(types: set) -> bool:
+    """Real numbers other than bool (NumPy's bool is not a numbers.Real): one test per type."""
+    return all(issubclass(t, numbers.Real) and t is not bool for t in types)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Weighted undirected graph with a canonical edge list.
@@ -66,7 +72,7 @@ class Graph:
         object.__setattr__(self, "node_count", int(self.node_count))
         edges = tuple(self.edges)
         ends = {type(i) for i, _, _ in edges} | {type(j) for _, j, _ in edges}
-        if not _int_types(ends) or {type(w) for _, _, w in edges} & {bool, np.bool_}:
+        if not _int_types(ends) or not _real_types({type(w) for _, _, w in edges}):
             raise GraphValidationError(f"edges need integer endpoints and numeric weights: {edges!r}")
         canonical = []
         seen = set()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qwfold.analysis import (
     EigensolverConvergenceError,
     Spectrum,
+    _round_robin,
     distinct_eigenvalues,
     equiprobable_groups,
     jacobi_eigenvalues,
@@ -63,6 +65,53 @@ def test_jacobi_reports_non_convergence():
     a = build_cycle(8).adjacency_matrix()
     with pytest.raises(EigensolverConvergenceError, match="sweeps"):
         jacobi_eigenvalues(a, max_sweeps=1)
+
+
+def _random_symmetric(n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    return (a + a.T) / 2.0
+
+
+JACOBI_CASES = {
+    "cube7": build_hypercube(7).adjacency_matrix(),
+    "torus12": build_hypercycle(2, 12).adjacency_matrix(),
+    "odd3": _random_symmetric(3),
+    "odd5": _random_symmetric(5),
+    "odd51": _random_symmetric(51),
+    "zero": np.zeros((6, 6)),
+    "diagonal": np.diag([3.0, -1.0, 3.0, 0.5, 2.0]),
+    "weights1e9": build_weighted_lattice((1e9,) * 3, (1e9,) * 3).adjacency_matrix(),
+    # pairs across blocks have a_pq = 0 and a_pp = a_qq: theta would be 0/0
+    "equal-diagonal-blocks": np.kron(np.eye(3), [[1.0, 2.0], [2.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("a", JACOBI_CASES.values(), ids=JACOBI_CASES.keys())
+def test_jacobi_matches_lapack_relative(a):
+    mine = jacobi_eigenvalues(a)
+    ref = np.linalg.eigvalsh(a)
+    assert np.isfinite(mine).all()
+    np.testing.assert_allclose(np.sort(mine), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_array_equal(jacobi_eigenvalues(a), mine)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_round_robin_steps_cover_every_pair_once(n):
+    steps = _round_robin(n)
+    assert len(steps) == n - 1 + n % 2
+    pairs = []
+    for p, q in steps:
+        assert (p < q).all() and len(set(p) | set(q)) == 2 * len(p)  # disjoint within a step
+        pairs += zip(p.tolist(), q.tolist())
+    assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jacobi_rejects_non_finite(bad):
+    a = build_cycle(4).adjacency_matrix()
+    a[0, 2] = a[2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigenvalues(a)
 
 
 # --- spectra ---------------------------------------------------------------------
@@ -344,6 +393,18 @@ def test_minimality_conv_torus_lattice_regression():
     np.testing.assert_allclose(
         rep["eigenvalues"]["distinct"], [4, 3, 2, 1, 0, -1, -2, -3, -4], atol=1e-9
     )
+
+
+def test_minimality_is_free_of_the_weight_unit():
+    unit = minimality_report(build_weighted_lattice((1.0,) * 3, (1.0,) * 3), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = minimality_report(build_weighted_lattice((1e9,) * 3, (1e9,) * 3), 0)
+    assert (unit["group_count"], unit["distinct_eigenvalue_count"]) == (10, 9)
+    for key in ("group_count", "distinct_eigenvalue_count", "verdict", "groups"):
+        assert big[key] == unit[key]
+    np.testing.assert_allclose(big["eigenvalues"]["distinct"], 1e9 * np.array(unit["eigenvalues"]["distinct"]),
+                               rtol=0, atol=1e-12 * np.abs(big["eigenvalues"]["full"]).max())
 
 
 def test_minimality_report_is_json_ready():

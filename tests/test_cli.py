@@ -184,6 +184,23 @@ def test_spectrum_and_minimality_accept_large_weights(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["eigenvalues"]["full"] == doc["eigenvalues"]
 
 
+def test_minimality_command_is_free_of_the_weight_unit(tmp_path, capsys):
+    reports = []
+    for weight in ("1", "1e9"):
+        gpath = tmp_path / f"lattice{weight}.json"
+        couplings = ",".join([weight] * 3)
+        assert run(["graph", "build", "--family", "weighted_lattice", "--rows", couplings,
+                    "--couplings", couplings, "--out", str(gpath)]) == 0
+        assert run(["minimality", "--in", str(gpath)]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err.lower()
+        reports.append(json.loads(captured.out))
+    unit, big = reports
+    assert (unit["group_count"], unit["distinct_eigenvalue_count"]) == (10, 9)
+    for key in ("group_count", "distinct_eigenvalue_count", "verdict", "groups"):
+        assert big[key] == unit[key]
+
+
 def test_groups_command(tmp_path, capsys):
     gpath = tmp_path / "cube.json"
     run(["graph", "build", "--family", "hypercube", "--dim", "3", "--out", str(gpath)])

@@ -444,6 +444,12 @@ def test_batch_hitting_steps_reject_bad_input():
         classical_hitting_steps(LATTICE, [(0, 2)], grid, 1.0)
 
 
+def test_batch_hitting_steps_accept_no_walks():
+    grid = TimeGrid(1.0, 0.1)
+    assert classical_hitting_steps(LATTICE, [], grid, 0.5) == {}
+    assert sink_hitting_steps(LATTICE, [], 1.0, grid, 0.5) == {}
+
+
 def test_threshold_values():
     pol = ThresholdPolicy()
     assert pol.value(36) == pytest.approx(1.0 / math.log(36))
@@ -494,6 +500,31 @@ def test_curve_csv_format():
     assert lines[2].startswith("0.5,")
     value = lines[2].split(",")[1]
     assert float(value) == pytest.approx(math.cos(0.5) ** 2, rel=1e-11)
+
+
+def _csv_reference(curve):
+    """The per-value f-string formatter that to_csv must match byte for byte."""
+    header = ["t"] + [f"node_{i}" for i in range(curve.node_count)] + (["sink"] if curve.has_sink else [])
+    lines = [",".join(header)]
+    for t, row in zip(curve.grid.times(), curve.probabilities):
+        lines.append(",".join(f"{x:.12g}" for x in [t, *row]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [unitary_evolve(build_cycle(8), 0, TimeGrid(3.0, 0.1)),
+     classical_evolve(build_cycle(8), 0, TimeGrid(3.0, 0.1)),
+     sink_evolve(build_cycle(8), 0, SinkSpec(4, 8, 1.0), TimeGrid(3.0, 0.1)),
+     WalkCurve(TimeGrid(0.3, 0.1),
+               [[1.0 + 1e-10, -1e-10], [1.0 - 1e-13, 1e-13], [0.5, 0.5], [1e-300, 1.0 - 1e-300]],
+               "classical")],
+    ids=["unitary", "classical", "sink", "near-0-and-1"],
+)
+def test_curve_csv_matches_per_value_formatter(curve):
+    buf = io.StringIO()
+    curve.to_csv(buf)
+    assert buf.getvalue() == _csv_reference(curve)
 
 
 def test_lindblad_csv_has_sink_column():

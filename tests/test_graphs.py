@@ -317,9 +317,14 @@ def test_graph_rejects_nonpositive_weight():
      (2, ((0, np.float64(1.0), 1.0),)),
      (2, ((0, 1, True),)),
      (2, ((0, 1, np.bool_(True)),)),
-     (2, ((0, 1, 1.0),), (("0",), (1,)))],
+     (2, ((0, 1, 1.0),), (("0",), (1,))),
+     (2, ((0, 1, "1"),)),
+     (2, ((0, 1, None),)),
+     (2, ((0, 1, 1j),)),
+     (3, ((0, 1, 1.0), (1, 2, "2")))],
     ids=["fractional-endpoint", "fractional-labels", "fractional-nodes", "bool-nodes",
-         "bool-endpoint", "float-endpoint", "bool-weight", "numpy-bool-weight", "string-label"],
+         "bool-endpoint", "float-endpoint", "bool-weight", "numpy-bool-weight", "string-label",
+         "string-weight", "none-weight", "complex-weight", "one-string-weight-among-floats"],
 )
 def test_graph_rejects_non_integer_indices(args):
     with pytest.raises(GraphValidationError, match="integer|number"):
