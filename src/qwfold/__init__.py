@@ -11,6 +11,7 @@ from .analysis import (
     minimality_report,
     spectrum,
     verify_equivalence,
+    weight_unit,
 )
 from .convolve import (
     ConvolutionResult,
@@ -43,6 +44,7 @@ from .graphs import (
     build_hypercycle,
     build_weighted_lattice,
     build_weighted_line,
+    cartesian_factors,
     cartesian_power,
     cartesian_product,
     graph_distance,

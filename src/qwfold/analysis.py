@@ -115,7 +115,7 @@ def spectrum(g: Graph) -> Spectrum:
     a = g.adjacency_matrix()
     vals = jacobi_eigenvalues(a)
     total = vals.sum()
-    if abs(total) > 1e-8 * max(1.0, np.abs(a).max()):
+    if abs(total) > 1e-8 * weight_unit(g):
         raise EigensolverConvergenceError(
             f"eigenvalue sum {total:.3e} deviates from the zero trace"
         )
@@ -128,8 +128,8 @@ def distinct_eigenvalues(s: Spectrum, tol: float) -> list[float]:
     Values within tol of their neighbor join the same cluster.  A gap between
     clusters smaller than 2*tol is ambiguous and emits a warning.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     values = list(s.values)
     clusters: list[list[float]] = [[values[0]]]
     for prev, cur in zip(values, values[1:]):
@@ -173,14 +173,17 @@ def equiprobable_groups(
 
     Two nodes share a group iff their unitary-walk probabilities agree within
     tol at every sample time AND they lie at the same edge distance from the
-    start node.  Group probabilities are the sums over members, so the
-    partition conserves total probability.
+    start node (-1 for every node the start cannot reach).  Group
+    probabilities are the sums over members, so the partition conserves
+    total probability.  tol must be positive.
     """
     times = np.asarray(list(sample_times), dtype=float)
     if times.size == 0 or np.any(times <= 0):
         raise ValueError("sample_times must be non-empty and strictly positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     probs = unitary_probabilities(g, start, times)  # (times, nodes)
-    dist = bfs_distances(g, start)
+    dist = [-1 if d is None else d for d in bfs_distances(g, start)]
 
     groups: list[list[int]] = []
     reps: list[np.ndarray] = []
@@ -195,7 +198,7 @@ def equiprobable_groups(
         if not placed:
             groups.append([v])
             reps.append(probs[:, v])
-            gdist.append(-1 if dist[v] is None else dist[v])
+            gdist.append(dist[v])
     summed = np.stack([probs[:, idx].sum(axis=1) for idx in groups])
     return GroupPartition(
         tuple(tuple(gr) for gr in groups),
@@ -263,6 +266,13 @@ def verify_equivalence(
     return curve_deviation(orig, red, gmap)
 
 
+def weight_unit(g: Graph) -> float:
+    """s = max(1, largest weight): eigenvalue tolerances are taken in units
+    of s, so a graph and the same graph with scaled weights cluster alike,
+    and weights <= 1 keep the tolerance as given."""
+    return max([1.0, *(w for _, _, w in g.edges)])
+
+
 def minimality_report(
     g: Graph,
     start: int,
@@ -278,7 +288,7 @@ def minimality_report(
     walk is sampled at sample_times / s, so the verdict does not depend on
     the unit of the weights; group_tol compares probabilities and stays as is.
     """
-    scale = max([1.0, *(w for _, _, w in g.edges)])
+    scale = weight_unit(g)
     times = [t / scale for t in sample_times]
     partition = equiprobable_groups(g, start, times, group_tol)
     spec = spectrum(g)

@@ -167,7 +167,7 @@ def _cmd_spectrum(args) -> int:
     spec = analysis.spectrum(g)
     doc = {
         "eigenvalues": [float(v) for v in spec.values],
-        "distinct": analysis.distinct_eigenvalues(spec, args.tol),
+        "distinct": analysis.distinct_eigenvalues(spec, args.tol * analysis.weight_unit(g)),
         "tol": args.tol,
     }
     write_text(json.dumps(doc, indent=1) + "\n", args.out or sys.stdout)

@@ -16,6 +16,17 @@ full master equation with RK4 and is kept as the reference the tests hold it
 to.  sink_hitting_steps and classical_hitting_steps run each distinct walk
 of a batch once and read its hitting step with the one threshold scan
 (_first_crossings), which hitting_step also uses.
+
+Walks without a sink evolve a Cartesian product (graphs.cartesian_factors:
+toruses, hypercycles, lattices, hypercubes) one axis factor at a time.  The
+generator of such a graph is a Kronecker sum of its factors' generators,
+whose terms act on different axes and commute, so its exponential is the
+Kronecker product of theirs, exactly: exp(-i(A1 (+) A2)t) = exp(-iA1 t) (x)
+exp(-iA2 t) for the unitary walk (Moore & Russell, RANDOM 2002, for the
+hypercube), and the same for the classical walk of regular factors, each at
+its share of the rate.  A walk on the product is then the row-wise Kronecker
+product of the factor walks, and the product's own n x n matrix is never
+built.  The sink breaks the product, so sink walks stay whole.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, GraphValidationError, write_text
+from .graphs import Graph, GraphValidationError, cartesian_factors, write_text
 
 DEFAULT_SUBSTEP = 1e-3  # lindblad_evolve's RK4 step; the exact propagator has none
 
@@ -193,6 +204,8 @@ def _clamp_rows(probs: np.ndarray) -> None:
 
 
 def _check_start(g: Graph, start: int) -> None:
+    if not isinstance(start, (int, np.integer)) or isinstance(start, bool):
+        raise GraphValidationError(f"start node must be an integer, got {start!r}")
     if not 0 <= start < g.node_count:
         raise GraphValidationError(f"start node {start} out of range")
 
@@ -220,18 +233,55 @@ def _symmetric_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _factor_walks(walk, factors: list[np.ndarray], coords) -> np.ndarray:
+    """Row-wise Kronecker product, over the axes, of walk(axis, starts): the
+    walk of each factor from its coordinates of the starts (coords holds
+    one array per axis), in row-major node order.  Equal factors are walked
+    once, from their coordinates stacked, so that a torus or a hypercube
+    needs one eigendecomposition.  A single factor's rows are returned as
+    walk gives them."""
+    groups: dict[int, list[int]] = {}  # first axis of each distinct factor -> its axes
+    for axis, factor in enumerate(factors):
+        first = next((a for a in groups if np.array_equal(factors[a], factor)), axis)
+        groups.setdefault(first, []).append(axis)
+    parts: list = [None] * len(factors)
+    count = len(coords[0])
+    for first, axes in groups.items():
+        rows = walk(first, np.concatenate([coords[axis] for axis in axes]))
+        for i, axis in enumerate(axes):
+            parts[axis] = rows[i * count : (i + 1) * count]
+    out = parts[0]
+    for part in parts[1:]:
+        joint = out[..., :, np.newaxis] * part[..., np.newaxis, :]
+        out = joint.reshape(*out.shape[:-1], out.shape[-1] * part.shape[-1])
+    return out
+
+
+def _unitary_rows(a: np.ndarray, starts, times) -> np.ndarray:
+    """|<v|exp(-i*a*t)|start>|^2 for the symmetric matrix a; shape
+    (len(starts), len(times), n)."""
+    vals, vecs = _symmetric_eigh(a)
+    coeff = vecs[starts, np.newaxis, :]  # V^T e_start
+    phases = np.exp(-1j * np.outer(times, vals))
+    amps = (phases * coeff) @ vecs.T
+    return np.abs(amps) ** 2
+
+
 def unitary_probabilities(g: Graph, start: int, times) -> np.ndarray:
     """Node probabilities |<v|exp(-i*A*t)|start>|^2, one row per time in times.
 
     Uses the real-symmetric eigendecomposition of the adjacency matrix, so
-    the times may be arbitrary (no time stepping involved).
+    the times may be arbitrary (no time stepping involved).  On a Cartesian
+    product (graphs.cartesian_factors) A = A_1 (+) ... (+) A_D is a sum of
+    commuting terms, so exp(-i*A*t) = exp(-i*A_1*t) (x) ... (x) exp(-i*A_D*t)
+    exactly: each factor is evolved from its coordinate of the start, and a
+    row is the Kronecker product of the factor rows.  Any other graph is the
+    one-factor case.
     """
     _check_start(g, start)
-    vals, vecs = _symmetric_eigh(g.adjacency_matrix())
-    coeff = vecs[start, :]  # V^T e_start
-    phases = np.exp(-1j * np.outer(times, vals))
-    amps = (phases * coeff) @ vecs.T
-    return np.abs(amps) ** 2
+    factors = cartesian_factors(g)
+    coords = np.unravel_index([start], [len(f) for f in factors])
+    return _factor_walks(lambda axis, at: _unitary_rows(factors[axis], at, times), factors, coords)[0]
 
 
 def unitary_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:
@@ -468,6 +518,18 @@ def transition_matrix(g: Graph) -> np.ndarray:
     return t
 
 
+def _classical_rows(a: np.ndarray, strengths: np.ndarray, starts, times) -> np.ndarray:
+    """exp((T - I) t) e_start for the weight matrix a with row sums strengths;
+    shape (len(starts), len(times), n)."""
+    root = np.sqrt(strengths)
+    sym = a / np.outer(root, root)
+    vals, vecs = _symmetric_eigh(sym)
+    # p(t) = e^{-t} D^{1/2} V e^{vals t} V^T D^{-1/2} e_start
+    v0 = vecs[starts, :] / root[starts, np.newaxis]
+    modes = np.exp(np.outer(times, vals - 1.0)) * v0[:, np.newaxis, :]
+    return (modes @ vecs.T) * root
+
+
 def classical_probabilities(g: Graph, starts, times) -> np.ndarray:
     """Classical walk distributions exp((T - I) t) e_start for several starts.
 
@@ -475,19 +537,28 @@ def classical_probabilities(g: Graph, starts, times) -> np.ndarray:
     through the symmetrized similarity transform D^{-1/2} W D^{-1/2} of the
     weight matrix, which shares T's spectrum and is exactly diagonalizable
     as a real symmetric matrix; one eigendecomposition serves every start.
+    A regular Cartesian product (graphs.cartesian_factors) has regular
+    factors, since the strength of node (u, v) is s_1(u) + s_2(v); with
+    factor strengths s_a it has D = s*I with s = sum(s_a), so
+    T - I = sum_a (s_a/s) (T_a - I) is a sum of commuting terms: each factor
+    is its own walk at time t*s_a/s, exactly, and a distribution is the
+    Kronecker product of the factor distributions.  An irregular graph never
+    parses its labels; it is the one-factor case, as is any non-product.
     """
     for start in starts:
         _check_start(g, start)
     strengths = g.strengths()
     if np.any(strengths == 0):
         raise GraphValidationError("graph has an isolated node")
-    root = np.sqrt(strengths)
-    sym = g.adjacency_matrix() / np.outer(root, root)
-    vals, vecs = _symmetric_eigh(sym)
-    # p(t) = e^{-t} D^{1/2} V e^{vals t} V^T D^{-1/2} e_start
-    v0 = vecs[starts, :] / root[starts, np.newaxis]
-    modes = np.exp(np.outer(times, vals - 1.0)) * v0[:, np.newaxis, :]
-    return (modes @ vecs.T) * root
+    factors = cartesian_factors(g) if (strengths == strengths[0]).all() else [g.adjacency_matrix()]
+    rates = [f.sum(axis=1) for f in factors] if len(factors) > 1 else [strengths]
+    total = sum(r[0] for r in rates)
+    times = np.asarray(times, dtype=float)
+    coords = np.unravel_index(np.asarray(starts, dtype=int), [len(f) for f in factors])
+    # a single factor runs at time t * s/s = t exactly
+    return _factor_walks(
+        lambda axis, at: _classical_rows(factors[axis], rates[axis], at, times * (rates[axis][0] / total)),
+        factors, coords)
 
 
 def classical_evolve(g: Graph, start: int, grid: TimeGrid) -> WalkCurve:

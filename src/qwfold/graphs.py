@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 from collections import deque
-from itertools import chain
+from itertools import accumulate, chain, product
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,6 +350,58 @@ def graph_distance(g: Graph, u: int, v: int) -> int | None:
     return bfs_distances(g, u)[v]
 
 
+def _label_grid(g: Graph) -> tuple[int, ...] | None:
+    """The axis sizes (n_1, ..., n_D), D >= 1, when the labels are the full
+    grid of coordinate tuples in row-major node order: node u carries the
+    digits of u in the mixed radix (n_1, ..., n_D).  None otherwise."""
+    if g.labels is None or not g.labels[0]:
+        return None
+    sizes = tuple(max(axis) + 1 for axis in zip(*g.labels))
+    if math.prod(sizes) != g.node_count or g.labels != tuple(product(*map(range, sizes))):
+        return None
+    return sizes
+
+
+def cartesian_factors(g: Graph) -> list[np.ndarray]:
+    """Adjacency matrices of the axis factors of g when g is their Cartesian
+    product, else [g.adjacency_matrix()].
+
+    g is a product when its labels are a full grid in row-major node order
+    (_label_grid; the axis sizes may differ), every edge moves exactly one
+    coordinate, and each axis repeats the weights of its slice through the
+    origin: every edge along the axis has the weight of the same step in
+    that slice, and every copy is present (the axis has the slice's edge
+    count times the number of slices).  The factors come in axis order, so
+    A(g) = A_1 (+) ... (+) A_D with node u at the row-major index of its
+    coordinates; the full adjacency matrix is built only for a non-product.
+    """
+    sizes = _label_grid(g)
+    if sizes is None or len(sizes) < 2 or not g.edges:
+        return [g.adjacency_matrix()]
+    m, n, radix = len(g.edges), g.node_count, np.array(sizes)
+    edges = np.fromiter(chain.from_iterable(g.edges), float, 3 * m).reshape(m, 3)
+    ends = edges[:, :2].astype(int)
+    coords = np.indices(sizes).reshape(len(sizes), n).T[ends]  # (edge, end, axis)
+    moved = coords[:, 0] != coords[:, 1]
+    if np.count_nonzero(moved) != m:  # each edge moves at least one coordinate
+        return [g.adjacency_matrix()]
+    axes = moved.argmax(axis=1)
+    steps = coords[np.arange(m), :, axes]  # (edge, end): the coordinate that moves
+    places = n // np.cumprod(radix)
+    origin = ends[:, 0] == steps[:, 0] * places[axes]  # every other coordinate is 0
+    # the factor entries of all axes, one k x k block after another
+    offsets = np.array([0, *accumulate(k * k for k in sizes)])
+    cells = offsets[axes] + steps[:, 0] * radix[axes] + steps[:, 1]
+    weights = np.zeros(offsets[-1])
+    weights[cells[origin]] = edges[origin, 2]
+    # every edge repeats its slice edge's weight, and as edges are distinct,
+    # the count then says that every copy is present
+    if (weights[cells] != edges[:, 2]).any() or (n // radix)[axes[origin]].sum() != m:
+        return [g.adjacency_matrix()]
+    blocks = [weights[lo:hi].reshape(k, k) for lo, hi, k in zip(offsets, offsets[1:], sizes)]
+    return [b + b.T for b in blocks]
+
+
 @dataclass(frozen=True)
 class TranslationGroup:
     """The translations of Z_k^D acting on the k^D nodes of a graph.
@@ -374,24 +426,20 @@ def translation_group(g: Graph) -> TranslationGroup | None:
     """The group Z_k^D of translations of g, if they are automorphisms.
 
     That holds when the labels are the k^D points of Z_k^D in row-major node
-    order and a unit shift along every axis maps each edge onto an edge of
-    the same weight; g is then a Cayley graph of Z_k^D.  Rings, toruses and
-    higher hypercycles (Cartesian powers of the k-ring) and hypercubes
-    (k = 2, where a shift is an XOR) qualify.  Returns None for anything else,
-    such as unlabelled graphs, lines and lattices with open boundaries, or
-    uneven weights.
+    order (_label_grid with every axis of size k) and a unit shift along
+    every axis maps each edge onto an edge of the same weight; g is then a
+    Cayley graph of Z_k^D.  Rings, toruses and higher hypercycles (Cartesian
+    powers of the k-ring) and hypercubes (k = 2, where a shift is an XOR)
+    qualify.  Returns None for anything else, such as unlabelled graphs,
+    lines and lattices with open boundaries, or uneven weights.
     """
-    if g.labels is None:
+    sizes = _label_grid(g)
+    if sizes is None:
         return None
-    dim = len(g.labels[0])
-    if dim == 0 or any(len(lab) != dim for lab in g.labels):
-        return None
-    k = max(max(lab) for lab in g.labels) + 1
-    if k < 2 or k**dim != g.node_count:
+    k, dim = sizes[0], len(sizes)
+    if k < 2 or any(size != k for size in sizes):
         return None
     places = [k ** (dim - 1 - axis) for axis in range(dim)]
-    if any(lab != tuple(u // p % k for p in places) for u, lab in enumerate(g.labels)):
-        return None
     weights = {(i, j): w for i, j, w in g.edges}
     for p in places:
         # unit shift along the axis with place value p, wrapping k - 1 to 0

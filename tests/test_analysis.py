@@ -14,6 +14,7 @@ from qwfold.analysis import (
     minimality_report,
     spectrum,
     verify_equivalence,
+    weight_unit,
 )
 from qwfold.convolve import (
     ConvolutionResult,
@@ -24,6 +25,7 @@ from qwfold.convolve import (
 )
 from qwfold.dynamics import TimeGrid
 from qwfold.graphs import (
+    Graph,
     GraphValidationError,
     GroupMap,
     build_cycle,
@@ -285,6 +287,33 @@ def test_groups_reject_bad_sample_times():
         equiprobable_groups(build_cycle(4), 0, sample_times=[])
     with pytest.raises(ValueError):
         equiprobable_groups(build_cycle(4), 0, sample_times=[0.0, 1.0])
+
+
+def test_groups_merge_unreachable_nodes():
+    # 2 and 3 are out of reach of 0: both stay at probability 0, one group
+    part = equiprobable_groups(Graph(4, ((0, 1, 1.0), (2, 3, 1.0))), 0)
+    assert part.groups == ((0,), (1,), (2, 3))
+    assert part.distances == (0, 1, -1)
+    np.testing.assert_allclose(part.probabilities.sum(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_groups_and_clusters_reject_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        equiprobable_groups(build_cycle(4), 0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        distinct_eigenvalues(spectrum(build_cycle(4)), tol)
+
+
+def test_eigenvalue_clusters_are_free_of_the_weight_unit():
+    unit = build_weighted_lattice((1.0,) * 3, (1.0,) * 3)
+    big = build_weighted_lattice((1e9,) * 3, (1e9,) * 3)
+    assert weight_unit(unit) == 1.0 and weight_unit(big) == 1e9
+    assert weight_unit(build_weighted_line([0.25, 0.5])) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clusters = distinct_eigenvalues(spectrum(big), 1e-6 * weight_unit(big))
+    assert len(distinct_eigenvalues(spectrum(unit), 1e-6)) == len(clusters) == 9
 
 
 # --- equivalence verification ------------------------------------------------------

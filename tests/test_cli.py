@@ -201,6 +201,33 @@ def test_minimality_command_is_free_of_the_weight_unit(tmp_path, capsys):
         assert big[key] == unit[key]
 
 
+def test_spectrum_command_is_free_of_the_weight_unit(tmp_path, capsys):
+    docs = []
+    for weight in ("1", "1e9"):
+        gpath = tmp_path / f"lattice{weight}.json"
+        couplings = ",".join([weight] * 3)
+        assert run(["graph", "build", "--family", "weighted_lattice", "--rows", couplings,
+                    "--couplings", couplings, "--out", str(gpath)]) == 0
+        assert run(["spectrum", "--in", str(gpath)]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err.lower()
+        docs.append(json.loads(captured.out))
+    unit, big = docs
+    assert len(unit["distinct"]) == len(big["distinct"]) == 9
+    assert unit["tol"] == big["tol"] == 1e-6
+    np.testing.assert_allclose(big["distinct"], 1e9 * np.array(unit["distinct"]),
+                               rtol=0, atol=1e-12 * np.abs(big["eigenvalues"]).max())
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_groups_command_rejects_bad_tol(tmp_path, capsys, tol):
+    gpath = tmp_path / "ring.json"
+    run(["graph", "build", "--family", "cycle", "--k", "4", "--out", str(gpath)])
+    capsys.readouterr()
+    assert run(["groups", "--in", str(gpath), "--tol", tol]) == 1
+    assert "tol must be positive" in capsys.readouterr().err
+
+
 def test_groups_command(tmp_path, capsys):
     gpath = tmp_path / "cube.json"
     run(["graph", "build", "--family", "hypercube", "--dim", "3", "--out", str(gpath)])

@@ -19,6 +19,7 @@ from qwfold.dynamics import (
     _sink_diagonals,
     classical_evolve,
     classical_hitting_steps,
+    classical_probabilities,
     hitting_step,
     lindblad_evolve,
     sink_evolve,
@@ -33,7 +34,10 @@ from qwfold.graphs import (
     build_cycle,
     build_hypercube,
     build_hypercycle,
+    build_weighted_lattice,
     build_weighted_line,
+    cartesian_factors,
+    cartesian_product,
 )
 from qwfold.convolve import hypercube_to_line
 
@@ -362,6 +366,122 @@ def test_classical_matches_expm_oracle():
     for s, t in enumerate(grid.times()):
         expected = expm((t_mat - np.eye(4)) * t) @ p0
         np.testing.assert_allclose(curve.probabilities[s], expected, atol=1e-15)
+
+
+# --- Cartesian products: walks evolved one factor at a time ----------------------------
+
+
+def unitary_oracle(g, start, times):
+    """|exp(-i*A*t) e_start|^2 from scipy's expm of the full adjacency matrix."""
+    a = g.adjacency_matrix()
+    return np.array([np.abs(expm(-1j * t * a)[:, start]) ** 2 for t in times])
+
+
+def classical_oracle(g, start, times):
+    """exp((T - I) t) e_start from scipy's expm of the full generator."""
+    generator = transition_matrix(g) - np.eye(g.node_count)
+    return np.array([expm(t * generator)[:, start] for t in times])
+
+
+def _labelled_ring(n, w):
+    return Graph(n, tuple((i, (i + 1) % n, w) for i in range(n)))
+
+
+ORACLE_TIMES = np.array([0.0, 0.3, 1.7, 4.0, 9.5])
+
+
+@pytest.mark.parametrize(
+    "g,factor_count,regular",
+    [(build_hypercycle(2, 6), 2, True),
+     (build_hypercycle(2, 12), 2, True),
+     (build_hypercycle(3, 4), 3, True),
+     (build_hypercube(7), 7, True),
+     (build_weighted_lattice([0.5, 1.0, 2.0], [1.0, 1.5]), 2, False),
+     (cartesian_product(build_weighted_line([1.3]), _labelled_ring(5, 0.7)), 2, True)],
+    ids=["torus6", "torus12", "hypercycle444", "7-cube", "weighted-lattice4x3", "mixed2x5"],
+)
+def test_factorised_walks_match_expm_of_the_full_generator(g, factor_count, regular):
+    assert len(cartesian_factors(g)) == factor_count
+    n = g.node_count
+    for start in sorted({0, 1, n // 2, n - 1}):
+        got = unitary_probabilities(g, start, ORACLE_TIMES)
+        assert np.abs(got - unitary_oracle(g, start, ORACLE_TIMES)).max() <= 1e-12
+    if regular:  # an irregular graph's classical walk does not factorise
+        starts = [0, n // 3, n - 1]
+        got = classical_probabilities(g, starts, ORACLE_TIMES)
+        for row, start in enumerate(starts):
+            assert np.abs(got[row] - classical_oracle(g, start, ORACLE_TIMES)).max() <= 1e-12
+
+
+def test_factorised_walks_never_build_the_full_adjacency(monkeypatch):
+    g = build_hypercycle(2, 40)
+
+    def refuse(self):
+        raise AssertionError("dense adjacency built for a product graph")
+
+    monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+    times = np.linspace(0.0, 20.0, 201)
+    unitary = unitary_probabilities(g, 41, times)
+    classical = classical_probabilities(g, [0, 41], times)
+    assert unitary.shape == (201, 1600) and classical.shape == (2, 201, 1600)
+    np.testing.assert_allclose(unitary.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(classical.sum(axis=2), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("g", [build_hypercycle(2, 6), build_weighted_line([1.0, 2.0])],
+                         ids=["product", "one-factor"])
+def test_classical_probabilities_without_starts_keep_their_shape(g):
+    assert classical_probabilities(g, [], ORACLE_TIMES).shape == (0, len(ORACLE_TIMES), g.node_count)
+
+
+@pytest.mark.parametrize("start", [1.5, True, "1"], ids=["fraction", "bool", "string"])
+def test_walks_reject_non_integer_starts(start):
+    # a product splits the start into coordinates, which would truncate 1.5
+    g = build_hypercycle(2, 6)
+    with pytest.raises(GraphValidationError, match="must be an integer"):
+        unitary_probabilities(g, start, ORACLE_TIMES)
+    with pytest.raises(GraphValidationError, match="must be an integer"):
+        classical_probabilities(g, [0, start], ORACLE_TIMES)
+
+
+@st.composite
+def products(draw):
+    """Cartesian product of 2-3 connected factors on 2-6 nodes with positive
+    weights; a factor is a random path plus chords, or a uniformly weighted
+    ring or complete graph (regular, so that the classical walk factorises)."""
+    weight = st.floats(0.1, 3.0, allow_nan=False, allow_infinity=False)
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(2, 6))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        kind = draw(st.sampled_from(["random", "ring", "complete"]))
+        if kind == "random":
+            order = draw(st.permutations(range(n)))
+            chosen = {tuple(sorted(p)) for p in zip(order, order[1:])}
+            chosen |= set(draw(st.lists(st.sampled_from(pairs))))
+            factors.append(Graph(n, tuple((i, j, draw(weight)) for i, j in sorted(chosen))))
+        else:
+            w = draw(weight)
+            ring = n > 2 and kind == "ring"
+            factors.append(_labelled_ring(n, w) if ring else Graph(n, tuple((i, j, w) for i, j in pairs)))
+    g = factors[0]
+    for factor in factors[1:]:
+        g = cartesian_product(g, factor)
+    return g, factors, draw(st.integers(0, g.node_count - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(products())
+def test_random_products_evolve_as_their_factors(case):
+    g, factors, start = case
+    found = cartesian_factors(g)
+    assert len(found) == len(factors)
+    for matrix, factor in zip(found, factors):
+        np.testing.assert_array_equal(matrix, factor.adjacency_matrix())
+    times = ORACLE_TIMES[:4]
+    assert np.abs(unitary_probabilities(g, start, times) - unitary_oracle(g, start, times)).max() <= 1e-12
+    got = classical_probabilities(g, [start], times)[0]
+    assert np.abs(got - classical_oracle(g, start, times)).max() <= 1e-12
 
 
 # --- transition matrix ----------------------------------------------------------

@@ -15,6 +15,7 @@ from qwfold.graphs import (
     build_hypercycle,
     build_weighted_lattice,
     build_weighted_line,
+    cartesian_factors,
     cartesian_power,
     cartesian_product,
     distance_matrix,
@@ -550,3 +551,93 @@ def _swap_two_labels(edges, labels):
 )
 def test_translation_group_rejects_other_graphs(g):
     assert translation_group(g) is None
+
+
+# --- Cartesian factors ---------------------------------------------------------------
+
+
+def _ring(n, w):
+    """n-node ring of weight w; any n >= 3, unlike build_cycle."""
+    return Graph(n, tuple((i, (i + 1) % n, w) for i in range(n)))
+
+
+def _edge_line(w):
+    return build_weighted_line([w])
+
+
+@pytest.mark.parametrize(
+    "g,factors",
+    [(build_hypercycle(2, 6), [build_cycle(6)] * 2),
+     (build_hypercycle(3, 4), [build_cycle(4)] * 3),
+     (build_hypercube(7), [build_hypercube(1)] * 7),
+     (build_weighted_lattice([0.5, 1.0, 2.0], [1.0, 1.5]),
+      [build_weighted_line([0.5, 1.0, 2.0]), build_weighted_line([1.0, 1.5])]),
+     (cartesian_product(_edge_line(1.3), _ring(5, 0.7)), [_edge_line(1.3), _ring(5, 0.7)])],
+    ids=["torus6", "hypercycle444", "7-cube", "weighted-lattice4x3", "mixed2x5"],
+)
+def test_cartesian_factors_of_products(g, factors):
+    found = cartesian_factors(g)
+    assert len(found) == len(factors)
+    for matrix, factor in zip(found, factors):
+        np.testing.assert_array_equal(matrix, factor.adjacency_matrix())
+
+
+def _add_diagonal_edge(edges, labels):
+    edges.append((0, 5, 1.0))  # (0, 0) - (1, 1): two coordinates move
+
+
+def _diagonal_edge_for_a_copy(edges, labels):
+    # (1,1)-(1,2) becomes (1,1)-(2,2): the edge count and every weight still match
+    edges[edges.index((5, 6, 1.0))] = (5, 10, 1.0)
+
+
+def _reweigh_last_edge(edges, labels):
+    i, j, w = edges[-1]
+    edges[-1] = (i, j, w * 1.5)  # a copy away from the origin slice
+
+
+def _drop_one_edge(edges, labels):
+    del edges[-1]
+
+
+def _ragged_labels(edges, labels):
+    labels[3] = labels[3] + (0,)
+
+
+def _negative_labels(edges, labels):
+    labels[:] = [(a - 1, b) for a, b in labels]
+
+
+def _no_labels(g):
+    return Graph(g.node_count, g.edges)
+
+
+NON_PRODUCTS = [
+    _torus_variant(_reweigh_first_edge),
+    _torus_variant(_reweigh_last_edge),
+    _torus_variant(_swap_two_labels),
+    _torus_variant(_add_diagonal_edge),
+    _torus_variant(_diagonal_edge_for_a_copy),
+    _torus_variant(_drop_one_edge),
+    _torus_variant(_ragged_labels),
+    _torus_variant(_negative_labels),
+    _no_labels(build_hypercycle(2, 4)),
+]
+NON_PRODUCT_IDS = ["one-weight", "one-weight-off-origin", "swapped-labels", "diagonal-edge", "diagonal-for-a-copy",
+                   "missing-copy", "ragged-labels", "negative-labels", "no-labels"]
+
+
+@pytest.mark.parametrize("g", NON_PRODUCTS, ids=NON_PRODUCT_IDS)
+def test_cartesian_factors_of_non_products_is_the_graph(g):
+    (factor,) = cartesian_factors(g)
+    np.testing.assert_array_equal(factor, g.adjacency_matrix())
+    assert translation_group(g) is None
+
+
+@pytest.mark.parametrize(
+    "g", [build_cycle(8), build_weighted_line([1.0, 2.0]), Graph(4, ((0, 1, 1.0),))],
+    ids=["one-axis-ring", "one-axis-line", "unlabelled"],
+)
+def test_cartesian_factors_of_single_axis_graphs(g):
+    (factor,) = cartesian_factors(g)
+    np.testing.assert_array_equal(factor, g.adjacency_matrix())
